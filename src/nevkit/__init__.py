@@ -15,8 +15,7 @@ from .integrators import (CantorPart, Integrator, Jump, LogSingularity,
                           eval_m_many, integrator_from_json, integrator_to_json,
                           lebesgue, log_kernel_integral, modulus_of_continuity,
                           nonconstancy_support, omega, omega_log_kernel_pair,
-                          omega_many, stabilization_diameter, stieltjes_integral,
-                          total_variation)
+                          omega_many, stieltjes_integral)
 from .characteristics import (ChargeView, ClassicalCharacteristic, ReportRow,
                               classical_characteristic, diff_nevanlinna,
                               diff_nevanlinna_total, integrated_counting,

@@ -86,23 +86,25 @@ def log_singularity_profile(model: DeltaSubharmonicModel, upto: float,
     return tuple(out)
 
 
-def max_plus_sampler(model: DeltaSubharmonicModel, samples: int = 512):
+ENVELOPE_SAMPLES = 512  # angular grid of the circle maxima on the left side
+
+
+def max_plus_sampler(model: DeltaSubharmonicModel):
     """Vectorized t -> max(circle maximum at t, 0)."""
     def f(ts):
         return np.maximum(circle_max_many(model, np.asarray(ts, dtype=float),
-                                          samples=samples), 0.0)
+                                          samples=ENVELOPE_SAMPLES), 0.0)
     return f
 
 
-def growth_bound_lhs(case: VerificationCase, samples: int = 512) -> float:
+def growth_bound_lhs(case: VerificationCase) -> float:
     """integral of the clipped circle maximum against the integrator."""
     sing = log_singularity_profile(case.model, upto=case.window.outer,
                                    scale=2.0 * case.window.outer)
     # the quadrature budget must sit above the envelope sampler's noise floor
     # (~1e-8), and the verdict slack is rhs-relative, so case.tol is enough
-    return stieltjes_integral(max_plus_sampler(case.model, samples),
-                              case.integrator, tol=case.tol,
-                              singularities=sing)
+    return stieltjes_integral(max_plus_sampler(case.model), case.integrator,
+                              tol=case.tol, singularities=sing)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,8 @@ def growth_bound_rhs(case: VerificationCase):
 
     rhs = (6R/(R-r)) * boldT * max(total mass, stabilized log-kernel term).
     components also carries the looser anchored variant with inner radius 0,
-    which can only increase boldT and therefore the bound.
+    which can only increase boldT and therefore the bound.  Both products
+    take 0 * inf = 0: a vanishing characteristic bounds a jump integrator too.
     """
     r, R = case.window.inner, case.window.outer
     m = case.integrator
@@ -131,7 +134,7 @@ def growth_bound_rhs(case: VerificationCase):
     kint_lhs, kint_rhs, d_m, _ = _log_pair_detailed(m, R, tol=100.0 * case.tol)
     factor = 6.0 * R / (R - r)
     second = max(total_mass, kint_lhs)
-    rhs = factor * bold_t * second
+    rhs = factor * bold_t * second if bold_t and second else 0.0
     components = {
         "c_plus_R": c_plus,
         "n_neg": n_neg,
@@ -146,14 +149,14 @@ def growth_bound_rhs(case: VerificationCase):
         "dini": kint_rhs,
         "factor": factor,
         "second": second,
-        "rhs_anchor": factor * bold_anchor * second,
+        "rhs_anchor": factor * bold_anchor * second if bold_anchor and second else 0.0,
     }
     return rhs, components
 
 
-def growth_bound_verify(case: VerificationCase, samples: int = 512) -> VerificationReport:
+def growth_bound_verify(case: VerificationCase) -> VerificationReport:
     """Evaluate both sides and compare with the case tolerance."""
-    lhs = growth_bound_lhs(case, samples=samples)
+    lhs = growth_bound_lhs(case)
     rhs, components = growth_bound_rhs(case)
     certificate = None
     if math.isinf(rhs) and case.integrator.jumps:
@@ -301,17 +304,16 @@ def harness_workers() -> int:
     return max(1, min(n, os.cpu_count() or 1))
 
 
-def verify_suite(cases, workers: int | None = None, samples: int = 512):
+def verify_suite(cases, workers: int | None = None):
     """Run growth_bound_verify over the cases, optionally in a thread pool."""
     cases = tuple(cases)
     if workers is None:
         workers = harness_workers()
     if workers <= 1 or len(cases) <= 1:
-        reports = [growth_bound_verify(c, samples=samples) for c in cases]
+        reports = [growth_bound_verify(c) for c in cases]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda c: growth_bound_verify(c, samples=samples), cases))
+            reports = list(pool.map(growth_bound_verify, cases))
     return sorted(reports, key=lambda rep: rep.case_id)
 
 
@@ -328,19 +330,17 @@ class ScanRow:
     dini: float
 
 
-def counterexample_scan(epsilons=DEFAULT_EPSILONS, tol: float = 1e-8,
-                        samples: int = 512):
+def counterexample_scan(epsilons=DEFAULT_EPSILONS, tol: float = 1e-8):
     """Unit mass smeared over (1-eps, 1+eps) against a pole-like model.
 
-    The left side of the bound and the Dini integral both grow like
-    ln(1/eps); the eps = 0 row is the jump limit, where both are +inf.
+    Each row is a VerificationCase on the window (2, 4).  The left side of
+    the bound and the Dini integral both grow like ln(1/eps); the eps = 0 row
+    is the jump limit, where both are +inf.
     """
     model = from_rational(poles=((1.0, 1),), scale=5.0)
-    R = 4.0
-    sampler = max_plus_sampler(model, samples=samples)
-    sing = log_singularity_profile(model, upto=R, scale=2.0 * R)
+    window = RadialWindow(2.0, 4.0)
     rows = []
-    for eps in epsilons:
+    for i, eps in enumerate(epsilons, start=1):
         eps = float(eps)
         if not (0.0 <= eps < 1.0):
             raise ValueError("epsilon must lie in [0, 1)")
@@ -348,9 +348,9 @@ def counterexample_scan(epsilons=DEFAULT_EPSILONS, tol: float = 1e-8,
             m = Integrator(end=2.0, jumps=(Jump(1.0, 1.0),))
         else:
             m = Integrator(end=2.0, pieces=(Piece(1.0 - eps, 1.0 + eps, 0.5 / eps),))
-        lhs = stieltjes_integral(sampler, m, tol=tol, singularities=sing)
-        rows.append(ScanRow(epsilon=eps, lhs=lhs,
-                            dini=_log_pair_detailed(m, R, tol=1e-6)[1]))
+        rep = growth_bound_verify(VerificationCase(
+            case_id=i, seed=0, model=model, integrator=m, window=window, tol=tol))
+        rows.append(ScanRow(epsilon=eps, lhs=rep.lhs, dini=rep.components["dini"]))
     return tuple(rows)
 
 
@@ -390,34 +390,28 @@ def random_rational(index: int, seed: int = 1):
 
 def classical_shape_check(zeros=(), poles=(), scale: float = 1.0,
                           r: float = 1.0, k: float = 2.0,
-                          tol: float = 1e-6, samples: int = 512) -> dict:
+                          tol: float = 1e-6) -> dict:
     """Growth bound for ln|f| with the normalized length integrator on [0, r].
 
-    The two-radius term is assembled through the classical route
-    T(R) - T(r) + proximity(r); the integrator has unit total mass, so the
-    second factor is the stabilized log-kernel value.
+    The bound itself is the VerificationCase of the model, lebesgue(r, 1/r)
+    and the window (r, kr).  bridge is the classical route to its bold_t,
+    T(R) - T(r) + proximity(r), reported next to it.
     """
     if not (r > 0.0 and k > 1.0):
         raise ValueError("need r > 0 and k > 1")
     R = k * r
-    model = from_rational(zeros=zeros, poles=poles, scale=scale)
-    m = lebesgue(r, slope=1.0 / r)
-
-    sing = log_singularity_profile(model, upto=R, scale=2.0 * R)
-    lhs = stieltjes_integral(max_plus_sampler(model, samples=samples), m,
-                             tol=tol, singularities=sing)
     at_r = classical_characteristic(zeros, poles, scale, r, tol=0.01 * tol)
     at_R = classical_characteristic(zeros, poles, scale, R, tol=0.01 * tol)
-    bridge = at_R.total - at_r.total + at_r.proximity
-    kint_lhs, kint_rhs, d_m, _ = _log_pair_detailed(m, R, tol=0.01 * tol)
-    second = max(m.total_variation, kint_lhs)
-    rhs = 6.0 * R / (R - r) * bridge * second
+    rep = growth_bound_verify(VerificationCase(
+        case_id=0, seed=0, model=from_rational(zeros=zeros, poles=poles, scale=scale),
+        integrator=lebesgue(r, slope=1.0 / r), window=RadialWindow(r, R), tol=tol))
+    comp = rep.components
     return {
-        "r": r, "R": R, "lhs": lhs, "rhs": rhs,
-        "ratio": lhs / rhs if rhs not in (0.0, math.inf) else math.nan,
-        "bridge": bridge, "proximity_r": at_r.proximity,
-        "kint_lhs": kint_lhs, "kint_rhs": kint_rhs, "d_m": d_m,
-        "verdict": "pass" if lhs <= rhs * (1.0 + tol) else "fail",
+        "r": r, "R": R, "lhs": rep.lhs, "rhs": rep.rhs, "ratio": rep.ratio,
+        "bridge": at_R.total - at_r.total + at_r.proximity,
+        "proximity_r": at_r.proximity,
+        "kint_lhs": comp["kint_lhs"], "kint_rhs": comp["kint_rhs"],
+        "d_m": comp["d_m"], "verdict": rep.verdict,
     }
 
 

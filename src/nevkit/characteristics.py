@@ -9,7 +9,7 @@ import numpy as np
 from .errors import NegativeMassInView, PoleOnCircle
 from .potentials import (RADIUS_TOL, DeltaSubharmonicModel, RadialWindow,
                          canonical_split, circle_mean, circle_mean_max,
-                         circle_mean_plus, evaluate, from_rational)
+                         circle_mean_plus, from_rational)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def integrated_counting(view: ChargeView, window: RadialWindow) -> float:
     return float(terms.sum())
 
 
-def jensen_residual(model: DeltaSubharmonicModel, window: RadialWindow,
-                    radius_tol: float = RADIUS_TOL) -> float:
+def jensen_residual(model: DeltaSubharmonicModel, window: RadialWindow) -> float:
     """Circle-mean increment minus integrated counting, for atom mass >= 0.
 
     Zero in exact arithmetic; what is returned is the closed-form rounding
@@ -80,8 +79,7 @@ def jensen_residual(model: DeltaSubharmonicModel, window: RadialWindow,
     """
     if any(a.mass < 0 for a in model.atoms):
         raise NegativeMassInView("residual is defined for nonnegative atom mass")
-    mean_gap = circle_mean(model, window.outer, radius_tol=radius_tol) \
-        - circle_mean(model, window.inner, radius_tol=radius_tol)
+    mean_gap = circle_mean(model, window.outer) - circle_mean(model, window.inner)
     return mean_gap - integrated_counting(ChargeView.positive_part(model), window)
 
 
@@ -133,16 +131,15 @@ class ClassicalCharacteristic:
 
 
 def classical_characteristic(zeros=(), poles=(), scale: float = 1.0,
-                             r: float = 1.0, tol: float = 1e-6,
-                             radius_tol: float = RADIUS_TOL) -> ClassicalCharacteristic:
+                             r: float = 1.0, tol: float = 1e-6) -> ClassicalCharacteristic:
     """Characteristic of the rational function with the given divisor at r."""
     if not r > 0:
         raise ValueError("radius must be positive")
     for loc, _ in poles:
-        if abs(abs(complex(loc)) - r) <= radius_tol * max(1.0, r):
+        if abs(abs(complex(loc)) - r) <= RADIUS_TOL * max(1.0, r):
             raise PoleOnCircle(f"pole at {loc} sits on the circle of radius {r}")
     model = from_rational(zeros=zeros, poles=poles, scale=scale)
-    proximity = circle_mean_plus(model, r, tol=tol, radius_tol=radius_tol)
+    proximity = circle_mean_plus(model, r, tol=tol)
     counting = 0.0
     for loc, mult in poles:
         rho = abs(complex(loc))
@@ -151,16 +148,6 @@ def classical_characteristic(zeros=(), poles=(), scale: float = 1.0,
         elif rho <= r:
             counting += mult * math.log(r / rho)
     return ClassicalCharacteristic(radius=r, proximity=proximity, counting=counting)
-
-
-def classical_model(zeros=(), poles=(), scale: float = 1.0) -> DeltaSubharmonicModel:
-    """Model of ln|f| for the rational f with the given divisor."""
-    return from_rational(zeros=zeros, poles=poles, scale=scale)
-
-
-def log_modulus_at(zeros, poles, scale: float, w: complex) -> float:
-    """ln|f(w)| for the rational f; -inf at zeros, +inf at poles."""
-    return evaluate(from_rational(zeros=zeros, poles=poles, scale=scale), w)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,7 @@ def _load_model(cfg, args):
         raise ParseError(f"model file not found: {spec}") from None
 
 
-def run_characteristics(args) -> tuple[str, bool]:
-    cfg = RunConfig.load(args)
+def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
     model = _load_model(cfg, args)
     radii = sorted(set(_parse_floats(cfg.get(args, "radii", "1.0"), "radii")))
     if any(t <= 0 for t in radii):
@@ -161,8 +160,7 @@ VERIFY_COLUMNS = ("case_id", "seed", "lhs", "rhs", "ratio", "verdict",
                   "rhs_anchor", "certificate")
 
 
-def run_verify(args) -> tuple[str, bool]:
-    cfg = RunConfig.load(args)
+def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
     n = int(cfg.get(args, "cases", 25))
     seed = int(cfg.get(args, "seed", 1))
     tol = float(cfg.get(args, "tol", 1e-6))
@@ -179,8 +177,7 @@ def run_verify(args) -> tuple[str, bool]:
     return "\n".join(lines), passed != len(reports)
 
 
-def run_counterexample(args) -> tuple[str, bool]:
-    cfg = RunConfig.load(args)
+def run_counterexample(args, cfg: RunConfig) -> tuple[str, bool]:
     spec = cfg.get(args, "epsilons")
     eps = _parse_floats(spec, "epsilons") if spec is not None else None
     rows = counterexample_scan(tuple(eps)) if eps else counterexample_scan()
@@ -221,8 +218,7 @@ def _load_rational(path: str):
 CLASSICAL_COLUMNS = ("index", "r", "R", "lhs", "rhs", "ratio", "bridge", "verdict")
 
 
-def run_classical(args) -> tuple[str, bool]:
-    cfg = RunConfig.load(args)
+def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
     tol = float(cfg.get(args, "tol", 1e-6))
     results = []
     suite = cfg.get(args, "suite")
@@ -298,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        body, failed = args.fn(args)
         cfg = RunConfig.load(args)
+        body, failed = args.fn(args, cfg)
         text = _emit([body], args, cfg)
         out = cfg.get(args, "out")
     except ParseError as exc:

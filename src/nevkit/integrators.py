@@ -201,10 +201,6 @@ def eval_m(m: Integrator, x: float) -> float:
     return float(eval_m_many(m, np.asarray(float(x))))
 
 
-def total_variation(m: Integrator) -> float:
-    return m.total_variation
-
-
 def nonconstancy_support(m: Integrator):
     """Closure of where m actually grows, as merged (lo, hi) intervals.
 
@@ -277,30 +273,22 @@ def omega(m: Integrator, t: float) -> float:
 
 @dataclass
 class ModulusProfile:
-    """Sampled modulus of continuity with its stabilization diameter.
+    """Modulus of continuity, exact on the grid, and its stabilization diameter."""
 
-    omega_lower/omega_upper bracket omega on the grid; the evaluator here is
-    exact, so the bracket has zero width.
-    """
-
-    integrator: Integrator
     grid: np.ndarray
-    omega_lower: np.ndarray
-    omega_upper: np.ndarray
-    total_variation: float
+    omega: np.ndarray
     stab_diameter: float
-    stab_bracket: tuple
 
 
-def _stabilization(m: Integrator):
+def _stabilization(m: Integrator) -> float:
     """Smallest window width at which omega reaches the total variation."""
     M = m.total_variation
     if M == 0.0:
-        return 0.0, (0.0, 0.0)
+        return 0.0
     cut = M * (1.0 - _OMEGA_REL_TOL)
     eps = m.end * 1e-15
     if omega(m, eps) >= cut:
-        return 0.0, (0.0, eps)
+        return 0.0
     lo, hi = eps, m.end
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -308,7 +296,7 @@ def _stabilization(m: Integrator):
             hi = mid
         else:
             lo = mid
-    return hi, (lo, hi)
+    return hi
 
 
 def modulus_of_continuity(m: Integrator, R: float, grid_size: int = 64) -> ModulusProfile:
@@ -319,20 +307,8 @@ def modulus_of_continuity(m: Integrator, R: float, grid_size: int = 64) -> Modul
         raise ValueError("R must be positive")
     cap = 4.0 * R
     grid = np.geomspace(cap * 1e-9, cap, grid_size)
-    om = omega_many(m, grid)
-    d, bracket = _stabilization(m)
-    return ModulusProfile(integrator=m, grid=grid, omega_lower=om.copy(),
-                          omega_upper=om, total_variation=m.total_variation,
-                          stab_diameter=d, stab_bracket=bracket)
-
-
-def stabilization_diameter(profile: ModulusProfile) -> float:
-    """Bisection-located diameter; the bracket sits in profile.stab_bracket."""
-    if math.isnan(profile.stab_diameter):
-        d, bracket = _stabilization(profile.integrator)
-        profile.stab_diameter = d
-        profile.stab_bracket = bracket
-    return profile.stab_diameter
+    return ModulusProfile(grid=grid, omega=omega_many(m, grid),
+                          stab_diameter=_stabilization(m))
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +364,17 @@ def dini_integral(m: Integrator, R: float, tol: float = 1e-6) -> float:
 
 
 def _log_pair_detailed(m: Integrator, R: float, tol: float):
-    """(lhs, rhs, d, tail_integral) of the stabilized log-kernel comparison."""
+    """(lhs, rhs, d, tail_integral) of the stabilized log-kernel comparison.
+
+    d is not computed (nan) when m jumps: both sides are +inf regardless.
+    """
     if m.jumps:
-        return math.inf, math.inf, _stabilization(m)[0], math.inf
+        return math.inf, math.inf, math.nan, math.inf
     M = m.total_variation
     if M == 0.0:
         return 0.0, 0.0, 0.0, 0.0
     cap = 4.0 * R
-    d, _ = _stabilization(m)
+    d = _stabilization(m)
     if d <= 0.0:
         return 0.0, 0.0, 0.0, 0.0
     if d > cap:

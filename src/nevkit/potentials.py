@@ -22,7 +22,9 @@ from .errors import (AtomOnCircle, CoincidentOppositeAtoms, ParseError,
                      SharedZeroPole)
 from .quad import adaptive_simpson, bisect_sign_changes, golden_max
 
-RADIUS_TOL = 1e-12
+RADIUS_TOL = 1e-12  # relative distance at which an atom counts as on a circle
+CIRCLE_MAX_SAMPLES = 2048  # angular grid of the single-radius circle_max
+CROSSING_SCAN = 4096  # angular grid that locates sign changes in circle_mean_max
 
 
 @dataclass(frozen=True)
@@ -148,32 +150,22 @@ def _atom_angles(model: DeltaSubharmonicModel) -> np.ndarray:
     return np.concatenate([ang, ang + np.pi]) % (2.0 * np.pi)
 
 
-def _on_circle(radii: np.ndarray, t: float, radius_tol: float) -> np.ndarray:
-    return np.abs(radii - t) <= radius_tol * max(1.0, abs(t))
+def _on_circle(radii: np.ndarray, t: float) -> np.ndarray:
+    return np.abs(radii - t) <= RADIUS_TOL * max(1.0, abs(t))
 
 
-def circle_max(model: DeltaSubharmonicModel, t: float, samples: int = 2048,
-               radius_tol: float = RADIUS_TOL) -> float:
+def circle_max(model: DeltaSubharmonicModel, t: float) -> float:
     """sup of the model over the circle |z| = t.
 
     Returns +inf exactly when a negative-mass atom lies on the circle.  A
     positive-mass atom on a circle of positive radius leaves the supremum
     finite; at t = 0 the circle degenerates to the point 0.
     """
-    t = float(t)
-    if t == 0.0:
-        return evaluate(model, 0.0)
-    if model.atoms:
-        locs, masses = _atom_arrays(model)
-        hit = _on_circle(np.abs(locs), t, radius_tol)
-        if np.any(hit & (masses < 0)):
-            return math.inf
-    return float(circle_max_many(model, np.array([t]), samples=samples,
-                                 radius_tol=radius_tol)[0])
+    return float(circle_max_many(model, np.array([float(t)]),
+                                 samples=CIRCLE_MAX_SAMPLES)[0])
 
 
-def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512,
-                    radius_tol: float = RADIUS_TOL) -> np.ndarray:
+def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.ndarray:
     """Vectorized circle suprema over an array of radii.
 
     Grid scan over angles (including every atom angle and its antipode as
@@ -194,14 +186,13 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512,
     tpos = ts.reshape(-1)[flat_idx]
     res = np.empty(flat_idx.size)
     for k in range(0, flat_idx.size, chunk):
-        res[k:k + chunk] = _circle_max_chunk(model, tpos[k:k + chunk],
-                                             samples, radius_tol)
+        res[k:k + chunk] = _circle_max_chunk(model, tpos[k:k + chunk], samples)
     out.reshape(-1)[flat_idx] = res
     return out
 
 
 def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
-                      samples: int, radius_tol: float) -> np.ndarray:
+                      samples: int) -> np.ndarray:
     base = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     cand = np.concatenate([base, _atom_angles(model)])
     z = tp[:, None] * np.exp(1j * cand)[None, :]
@@ -231,18 +222,17 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
         neg_radii = np.abs(locs[masses < 0])
         if neg_radii.size:
             coll = np.any(np.abs(tp[:, None] - neg_radii[None, :])
-                          <= radius_tol * np.maximum(1.0, tp)[:, None], axis=1)
+                          <= RADIUS_TOL * np.maximum(1.0, tp)[:, None], axis=1)
             best = np.where(coll, np.inf, best)
     return best
 
 
-def circle_mean(model: DeltaSubharmonicModel, t: float,
-                radius_tol: float = RADIUS_TOL) -> float:
+def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
     """Mean over the circle |z| = t, in closed form.
 
     Only the constant harmonic coefficient survives averaging; each atom
     contributes mass * ln(max(t, |a|)).  Raises AtomOnCircle when an atom
-    sits on the circle within radius_tol (no principal-value handling).
+    sits on the circle within RADIUS_TOL (no principal-value handling).
     """
     t = float(t)
     if t <= 0.0:
@@ -252,15 +242,13 @@ def circle_mean(model: DeltaSubharmonicModel, t: float,
         return c0
     locs, masses = _atom_arrays(model)
     radii = np.abs(locs)
-    hit = _on_circle(radii, t, radius_tol)
-    if hit.any():
+    if _on_circle(radii, t).any():
         raise AtomOnCircle(t)
     return c0 + float(masses @ np.log(np.maximum(t, radii)))
 
 
 def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicModel,
-                    t: float, tol: float = 1e-8, samples: int = 1024,
-                    radius_tol: float = RADIUS_TOL) -> float:
+                    t: float, tol: float = 1e-8) -> float:
     """Mean of the pointwise max of two models over the circle |z| = t.
 
     Sign changes of the difference are located by sampling plus bisection;
@@ -272,8 +260,7 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
         raise ValueError("circle_mean_max needs t > 0")
     for m in (model_a, model_b):
         if m.atoms:
-            radii = m.atom_radii
-            if _on_circle(radii, t, radius_tol).any():
+            if _on_circle(m.atom_radii, t).any():
                 raise AtomOnCircle(t)
 
     fa = _circle(model_a, t)
@@ -282,8 +269,7 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     # the crossing scan runs on a denser grid than the quadrature would need:
     # a sign change missed inside one cell puts a kink into an arc, where the
     # Richardson acceptance test underestimates the true panel error
-    scan = max(4 * samples, 4096)
-    base = np.linspace(0.0, 2.0 * np.pi, scan, endpoint=False)
+    base = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
     nodes = np.unique(np.concatenate(
         [base, _atom_angles(model_a), _atom_angles(model_b)]))
     va = fa(nodes)
@@ -339,14 +325,12 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     return total / (2.0 * np.pi)
 
 
-def circle_mean_plus(model: DeltaSubharmonicModel, t: float, tol: float = 1e-8,
-                     samples: int = 1024, radius_tol: float = RADIUS_TOL) -> float:
+def circle_mean_plus(model: DeltaSubharmonicModel, t: float, tol: float = 1e-8) -> float:
     """Mean of the positive part over the circle |z| = t, by quadrature.
 
     The negative-part mean follows by feeding the negated model.
     """
-    return circle_mean_max(model, EMPTY_MODEL, t, tol=tol, samples=samples,
-                           radius_tol=radius_tol)
+    return circle_mean_max(model, EMPTY_MODEL, t, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,30 @@ def test_jump_off_singular_radius_passes():
     assert "jump" in rep.certificate
 
 
+def test_jump_integrator_leaves_d_m_uncomputed():
+    # the stabilization diameter cannot change a +inf bound, so it is skipped
+    base = reference_case()
+    case = VerificationCase(case_id=2, seed=0, model=base.model,
+                            integrator=Integrator(end=2.0, jumps=(Jump(0.5, 1.0),)),
+                            window=base.window, tol=base.tol)
+    assert math.isnan(growth_bound_rhs(case)[1]["d_m"])
+
+
+def test_vanishing_characteristic_bounds_a_jump_integrator():
+    # U <= 0 on |z| = 2 and no negative charge in the window: boldT = 0, and
+    # 0 * inf is 0, so 0 <= 0 holds as it does without the jump
+    model = nk.DeltaSubharmonicModel((nk.RieszAtom(0.1, 0.2),), nk.HarmonicPart((-0.5,)))
+    window = nk.RadialWindow(1.0, 2.0)
+    for m in (Integrator(end=1.0, pieces=((0.0, 1.0, 1.0),), jumps=((0.5, 1.0),)),
+              Integrator(end=1.0, pieces=((0.0, 1.0, 1.0),))):
+        rep = growth_bound_verify(VerificationCase(case_id=1, seed=0, model=model,
+                                                   integrator=m, window=window))
+        assert rep.components["bold_t"] == 0.0
+        assert rep.lhs == 0.0
+        assert rep.rhs == 0.0 and rep.components["rhs_anchor"] == 0.0
+        assert rep.verdict == "pass"
+
+
 # -- singularity profile and sampler ----------------------------------------------
 
 def test_log_singularity_profile_stacks_per_location():
@@ -272,6 +296,18 @@ def test_classical_shape_identity_function():
     assert res["d_m"] == pytest.approx(2.0, abs=1e-10)
     assert res["kint_lhs"] == pytest.approx(1.0 + LN(8.0), abs=1e-6)
     assert res["verdict"] == "pass"
+
+
+def test_classical_bridge_is_bold_t():
+    zeros, poles, scale, r, R = nk.bounds.random_rational(3, seed=1)
+    res = classical_shape_check(zeros, poles, scale, r, k=R / r)
+    case = VerificationCase(case_id=0, seed=0,
+                            model=nk.from_rational(zeros=zeros, poles=poles, scale=scale),
+                            integrator=lebesgue(r, slope=1.0 / r),
+                            window=nk.RadialWindow(r, R))
+    rep = growth_bound_verify(case)
+    assert abs(res["bridge"] - rep.components["bold_t"]) <= 1e-12
+    assert (res["lhs"], res["rhs"], res["verdict"]) == (rep.lhs, rep.rhs, rep.verdict)
 
 
 def test_classical_shape_validation():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -200,7 +201,11 @@ def test_classical_bad_rational(tmp_path):
 # -- process-level entry -------------------------------------------------------------
 
 def test_module_entry_point():
+    # the subprocess must import the nevkit under test, not an installed copy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     got = subprocess.run([sys.executable, "-m", "nevkit.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert got.returncode == 0
     assert got.stdout.strip() == f"nevkit {nk.__version__}"

@@ -25,7 +25,6 @@ from nevkit.integrators import (
     omega_log_kernel_pair,
     omega_many,
     stieltjes_integral,
-    total_variation,
 )
 
 LN = math.log
@@ -131,13 +130,13 @@ def test_eval_monotone(seed):
     vals = eval_m_many(m, xs)
     assert np.all(np.diff(vals) >= -1e-13)
     assert vals[0] == 0.0
-    assert vals[-1] == pytest.approx(total_variation(m), rel=1e-10)
+    assert vals[-1] == pytest.approx(m.total_variation, rel=1e-10)
 
 
 def test_total_variation_additive():
     m = Integrator(end=2.0, pieces=(Piece(0.0, 1.0, 2.0),),
                    cantor=CantorPart(1.0, 2.0, 0.5), jumps=(Jump(0.5, 0.25),))
-    assert total_variation(m) == pytest.approx(2.75)
+    assert m.total_variation == pytest.approx(2.75)
 
 
 def test_nonconstancy_support_merges():
@@ -174,7 +173,7 @@ def test_omega_monotone_subadditive(seed):
     ts = np.geomspace(1e-6, 2.0 * m.end, 40)
     om = omega_many(m, ts)
     assert np.all(np.diff(om) >= -1e-12)
-    assert om[-1] == pytest.approx(total_variation(m), rel=1e-10)
+    assert om[-1] == pytest.approx(m.total_variation, rel=1e-10)
     s, t = 0.37, 0.91
     assert omega(m, s + t) <= omega(m, s) + omega(m, t) + 1e-10
 
@@ -230,7 +229,7 @@ def test_pair_needs_room():
 @given(st.integers(min_value=1, max_value=40))
 def test_pair_ordering(seed):
     m = random_integrator(seed, with_jumps=False)
-    if total_variation(m) == 0.0:
+    if m.total_variation == 0.0:
         return
     lhs, rhs = omega_log_kernel_pair(m, R=2.0 * m.end)
     assert lhs <= rhs
