@@ -25,6 +25,7 @@ from .errors import ParseError, ToleranceNotReached
 from .quad import adaptive_simpson
 
 _OMEGA_REL_TOL = 1e-13  # total-variation comparisons on exact evaluations
+_SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,7 @@ def _omega_over_t_integral(m: Integrator, upper: float, tol_abs: float) -> float
     if t0 < upper:
         def f(ys):
             return omega_many(m, np.exp(np.asarray(ys)))
-        total += adaptive_simpson(f, math.log(t0), math.log(upper), tol_abs,
+        total += adaptive_simpson(f, (math.log(t0), math.log(upper)), tol_abs,
                                   min_depth=_kink_depth_floor(m))
     return total
 
@@ -445,14 +446,14 @@ def _log_kernel_exact(m: Integrator, x: float, scale: float) -> float:
     return total
 
 
-def _desingularized(f, singularities, eps_rel: float = 1e-11):
+def _desingularized(f, singularities):
     """Wrap f so queries dodge the singular points and the log part cancels."""
     sing = tuple(singularities)
 
     def ft(ts):
         ts = np.array(ts, dtype=float, copy=True)
         for s in sing:
-            eps = eps_rel * max(1.0, abs(s.location))
+            eps = _SINGULARITY_DODGE * max(1.0, abs(s.location))
             near = np.abs(ts - s.location) < eps
             if near.any():
                 ts[near] = s.location + eps
@@ -462,17 +463,6 @@ def _desingularized(f, singularities, eps_rel: float = 1e-11):
         return vals
 
     return ft
-
-
-def _piece_integral(ft, piece: Piece, cut_points, tol_mass: float) -> float:
-    """slope * integral of ft over the piece, split at interior cusps."""
-    cuts = sorted({piece.start, piece.stop}
-                  | {c for c in cut_points if piece.start < c < piece.stop})
-    span = piece.stop - piece.start
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        total += adaptive_simpson(ft, a, b, (tol_mass / piece.slope) * ((b - a) / span))
-    return piece.slope * total
 
 
 def _stage_integral(ft, cantor: CantorPart, tol_mass: float) -> float:
@@ -547,7 +537,11 @@ def stieltjes_integral(f, m: Integrator, tol: float = 1e-8,
         for p in m.pieces:
             if p.mass == 0.0:
                 continue
-            total += _piece_integral(ft, p, cuts, 0.9 * tol * p.mass / cont_mass)
+            # cut at the interior cusps of the desingularized integrand
+            inner = [c for c in cuts if p.start < c < p.stop]
+            tol_mass = 0.9 * tol * p.mass / cont_mass
+            total += p.slope * adaptive_simpson(ft, [p.start, p.stop, *inner],
+                                                tol_mass / p.slope)
         if m.cantor is not None and m.cantor.height > 0.0:
             total += _stage_integral(ft, m.cantor,
                                      0.9 * tol * m.cantor.height / cont_mass)
@@ -614,14 +608,11 @@ def log_kernel_integral(m: Integrator, x: float, r: float, R: float,
     # quadrature clean on both sides (t0 < 2|loc - x| always, see nearest)
     ya, yb = math.log(t0), math.log(cap)
     steps = np.log(2.0 * np.abs(locs - x)) if locs.size else np.empty(0)
-    cuts = np.concatenate([[ya], np.sort(steps[(steps > ya) & (steps < yb)]), [yb]])
+    cuts = np.concatenate([[ya, yb], steps[(steps > ya) & (steps < yb)]])
 
     scale = max(1.0, abs(direct))
     floor = 12 if m.cantor is not None else 3
-    sub = closed
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        share = 0.5 * tol * scale * (b - a) / (yb - ya)
-        sub += adaptive_simpson(g, a, b, share, min_depth=floor)
+    sub = closed + adaptive_simpson(g, cuts, 0.5 * tol * scale, min_depth=floor)
     if abs(sub - direct) > 4.0 * tol * scale:
         raise ToleranceNotReached(
             f"route disagreement {abs(sub - direct):.3e} at x={x}")

@@ -214,7 +214,7 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
         v = evaluate_many(model, zz)
         return np.where(np.isnan(v), -np.inf, v)
 
-    polished = golden_max(f, lo, hi, iters=40)
+    polished = golden_max(f, lo, hi)
     best = np.maximum(best, np.max(polished, axis=1))
 
     if model.atoms:
@@ -252,8 +252,9 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     """Mean of the pointwise max of two models over the circle |z| = t.
 
     Sign changes of the difference are located by sampling plus bisection;
-    each monotone-sign arc is then integrated adaptively.  Absolute error
-    <= tol, else ToleranceNotReached.
+    the upper envelope is then integrated adaptively in one call, over the
+    turn that starts at the first sign change, cut at every sign change and
+    atom angle.  Absolute error <= tol, else ToleranceNotReached.
     """
     t = float(t)
     if t <= 0.0:
@@ -267,17 +268,12 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     fb = _circle(model_b, t)
 
     # the crossing scan runs on a denser grid than the quadrature would need:
-    # a sign change missed inside one cell puts a kink into an arc, where the
+    # a sign change missed inside one cell puts a kink into a panel, where the
     # Richardson acceptance test underestimates the true panel error
+    features = np.unique(np.concatenate([_atom_angles(model_a), _atom_angles(model_b)]))
     base = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
-    nodes = np.unique(np.concatenate(
-        [base, _atom_angles(model_a), _atom_angles(model_b)]))
-    va = fa(nodes)
-    vb = fb(nodes)
-    diff = va - vb
-
-    if np.max(np.abs(diff)) == 0.0:
-        diff = np.ones_like(diff)  # identical models: integrate either one
+    nodes = np.unique(np.concatenate([base, features]))
+    diff = fa(nodes) - fb(nodes)
 
     def g(theta):
         return fa(theta) - fb(theta)
@@ -286,43 +282,21 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     wrap_nodes = np.append(nodes, nodes[0] + 2.0 * np.pi)
     wrap_sign = np.append(sign, sign[0])
     flip = wrap_sign[:-1] * wrap_sign[1:] < 0
-    crossings = np.empty(0)
-    if flip.any():
-        lo = wrap_nodes[:-1][flip]
-        hi = wrap_nodes[1:][flip]
-        crossings = bisect_sign_changes(g, lo, hi, np.where(diff >= 0, 1.0, -1.0)[flip])
+    crossings = bisect_sign_changes(g, wrap_nodes[:-1][flip], wrap_nodes[1:][flip],
+                                    sign[flip])
 
-    # every arc is additionally split at the atom angles it contains: the
-    # integrand's narrow features sit exactly there, and a feature centered
-    # on a panel boundary cannot alias past the Simpson error estimate
-    base_feature = np.unique(np.concatenate([_atom_angles(model_a),
-                                             _atom_angles(model_b)]))
-    feature = np.concatenate([base_feature, base_feature + 2.0 * np.pi])
+    # the atom angles are cuts too: the integrand's narrow features sit
+    # exactly there, and a feature centered on a panel boundary cannot alias
+    # past the Simpson error estimate
+    c0 = float(crossings.min()) if crossings.size else 0.0
+    cuts = np.concatenate([[c0, c0 + 2.0 * np.pi], crossings,
+                           np.where(features < c0, features + 2.0 * np.pi, features)])
 
-    def integrate_arc(a: float, b: float, pick) -> float:
-        inner = feature[(feature > a) & (feature < b)]
-        cuts = np.concatenate([[a], inner, [b]])
-        out = 0.0
-        for p, q in zip(cuts[:-1], cuts[1:]):
-            out += adaptive_simpson(pick, p, q, 0.5 * tol * (q - p), min_depth=2)
-        return out
+    def envelope(theta):
+        return np.maximum(fa(theta), fb(theta))
 
-    if crossings.size == 0:
-        pick = fa if sign[0] > 0 else fb
-        return integrate_arc(0.0, 2.0 * np.pi, pick) / (2.0 * np.pi)
-
-    bounds = np.sort(crossings)
-    arcs = np.empty((bounds.size, 2))
-    arcs[:-1, 0] = bounds[:-1]
-    arcs[:-1, 1] = bounds[1:]
-    arcs[-1] = (bounds[-1], bounds[0] + 2.0 * np.pi)
-
-    total = 0.0
-    for a, b in arcs:
-        mid = 0.5 * (a + b)
-        pick = fa if float(g(np.array([mid]))[0]) >= 0.0 else fb
-        total += integrate_arc(a, b, pick)
-    return total / (2.0 * np.pi)
+    # pi * tol on the integral over 2*pi leaves the mean half of tol
+    return adaptive_simpson(envelope, cuts, np.pi * tol, min_depth=2) / (2.0 * np.pi)
 
 
 def circle_mean_plus(model: DeltaSubharmonicModel, t: float, tol: float = 1e-8) -> float:

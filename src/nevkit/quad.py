@@ -13,40 +13,49 @@ from .errors import ToleranceNotReached
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
+MAX_DEPTH = 50  # halvings of a cut interval after which panels are accepted as they are
+MAX_PANELS = 200_000  # panels one adaptive_simpson call may create
+BISECT_STEPS = 70  # cap on halvings; float brackets collapse well before it
+GOLDEN_STEPS = 40  # golden-section steps: the bracket shrinks by 0.618**40
 
-def adaptive_simpson(f, a: float, b: float, tol: float, *,
-                     min_depth: int = 0, max_depth: int = 50,
-                     max_panels: int = 200_000) -> float:
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
+
+def adaptive_simpson(f, cuts, tol: float, *, min_depth: int = 0) -> float:
+    """Integrate ``f`` over [min(cuts), max(cuts)] to absolute tolerance ``tol``.
 
     Classic adaptive Simpson with Richardson correction, run breadth-first.
-    ``min_depth`` forces that many halvings before a panel may self-accept,
-    which is the guard against narrow features aliasing past the five-point
-    error estimate.  Panels at ``max_depth`` are accepted as-is; if their
-    combined error estimate overruns the budget, ToleranceNotReached is
-    raised.
+    The sorted, de-duplicated ``cuts`` are the first generation of panels, so
+    a kink or step placed on a cut never lies inside a panel, and each
+    panel's share of ``tol`` is its share of the length.  ``min_depth``
+    forces that many halvings of each cut interval before a panel may
+    self-accept, which is the guard against narrow features aliasing past
+    the five-point error estimate.  Panels at MAX_DEPTH are accepted as-is;
+    if their error estimates inside one cut interval overrun that interval's
+    share of ``tol``, ToleranceNotReached is raised.
     """
-    a, b = float(a), float(b)
-    if not b > a:
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    if cuts.size < 2:
         return 0.0
-    xs = np.array([a, 0.5 * (a + b), b])
-    fa, fm, fb = (float(v) for v in f(xs))
-    if not np.isfinite([fa, fm, fb]).all():
-        raise ToleranceNotReached(f"non-finite integrand on [{a}, {b}]")
+    n = cuts.size - 1
+    vals = np.asarray(f(np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])])),
+                      dtype=float)
+    if not np.isfinite(vals).all():
+        raise ToleranceNotReached(f"non-finite integrand on [{cuts[0]}, {cuts[-1]}]")
 
-    span = b - a
-    left = np.array([a])
-    h = np.array([span])
-    va = np.array([fa])
-    vm = np.array([fm])
-    vb = np.array([fb])
+    span = cuts[-1] - cuts[0]
+    left = cuts[:-1]
+    h = np.diff(cuts)
+    share = np.maximum(tol * (h / span), 1e-15)
+    origin = np.arange(n)  # the cut interval each panel descends from
+    va = vals[:n]
+    vb = vals[1:n + 1]
+    vm = vals[n + 1:]
     coarse = h / 6.0 * (va + 4.0 * vm + vb)
 
     total = 0.0
-    forced_err = 0.0
-    panels_done = 1
+    forced_err = np.zeros(n)
+    panels_done = n
 
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         lm = left + 0.25 * h
         rm = left + 0.75 * h
         fvals = f(np.concatenate([lm, rm]))
@@ -60,40 +69,50 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *,
             raise ToleranceNotReached("non-finite integrand during refinement")
 
         budget = tol * (h / span)
-        done = ((np.abs(delta) <= budget) & (depth >= min_depth)) | (depth == max_depth)
+        done = ((np.abs(delta) <= budget) & (depth >= min_depth)) | (depth == MAX_DEPTH)
         total += float(np.sum(s_left[done] + s_right[done] + delta[done]))
         at_cap = done & (np.abs(delta) > budget)
-        forced_err += float(np.sum(np.abs(delta[at_cap])))
+        np.add.at(forced_err, origin[at_cap], np.abs(delta[at_cap]))
 
         keep = ~done
         if not keep.any():
             break
         panels_done += 2 * int(np.count_nonzero(keep))
-        if panels_done > max_panels:
+        if panels_done > MAX_PANELS:
             raise ToleranceNotReached(
-                f"panel budget exhausted ({panels_done} > {max_panels})")
+                f"panel budget exhausted ({panels_done} > {MAX_PANELS})")
         half = 0.5 * h[keep]
         left = np.concatenate([left[keep], left[keep] + half])
         h = np.concatenate([half, half])
+        origin = np.concatenate([origin[keep], origin[keep]])
         va = np.concatenate([va[keep], vm[keep]])
         vb = np.concatenate([vm[keep], vb[keep]])
         vm = np.concatenate([flm[keep], frm[keep]])
         coarse = np.concatenate([s_left[keep], s_right[keep]])
 
-    if forced_err > max(tol, 1e-15):
+    over = forced_err > share
+    if over.any():
+        i = int(np.argmax(over))
         raise ToleranceNotReached(
-            f"residual error estimate {forced_err:.3e} above budget {tol:.3e}")
+            f"residual error estimate {forced_err[i]:.3e} above budget "
+            f"{share[i]:.3e} on [{cuts[i]}, {cuts[i + 1]}]")
     return total
 
 
-def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                        iters: int = 70) -> np.ndarray:
-    """Vectorized bisection; each (lo[i], hi[i]) must bracket a sign change."""
+def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray,
+                        flo: np.ndarray) -> np.ndarray:
+    """Vectorized bisection; each (lo[i], hi[i]) must bracket a sign change.
+
+    Stops when no bracket has a float strictly inside it any more, or after
+    BISECT_STEPS halvings.
+    """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign_lo = np.sign(flo)
-    for _ in range(iters):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
         fm = f(mid)
         same = np.sign(fm) == sign_lo
         lo = np.where(same, mid, lo)
@@ -101,7 +120,7 @@ def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 45) -> np.ndarray:
+def golden_max(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized golden-section maximization over the brackets [lo, hi].
 
     Returns the maximum of the endpoint and probe values seen; unimodality is
@@ -114,7 +133,7 @@ def golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 45) -> np.ndarray
     x2 = lo + _INVPHI * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_STEPS):
         best = np.maximum(best, np.maximum(f1, f2))
         take_left = f1 >= f2
         hi = np.where(take_left, x2, hi)
