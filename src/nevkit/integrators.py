@@ -26,6 +26,10 @@ from .quad import adaptive_simpson
 
 _OMEGA_REL_TOL = 1e-13  # total-variation comparisons on exact evaluations
 _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
+# floats per temporary of omega_many (128 KiB): at this size the allocator
+# reuses a chunk's memory for the next, where 32,768 and more made numpy fault
+# in fresh pages chunk after chunk
+_OMEGA_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -227,44 +231,36 @@ def nonconstancy_support(m: Integrator):
 def omega_many(m: Integrator, ts) -> np.ndarray:
     """Exact modulus of continuity at each window width in ``ts``.
 
-    omega(t) = sup_a mass((a, a+t]).  For a piecewise-linear-plus-jumps m the
-    sup over window positions is attained at a kink, at a kink shifted by -t,
-    at a jump, at a jump shifted by -t, or as a left limit at a jump, so a
-    finite candidate scan is exact.
+    omega(t) = sup_a mass((a, a+t]).  Between jumps g(a) = m(a+t) - m(a) is
+    piecewise linear with slope rho(a+t) - rho(a), so a window can peak only
+    where that slope turns from >= 0 to <= 0: it starts at a kink where the
+    density does not drop, or ends at a kink where it does not rise (if both
+    ends are kinks and the start drops, the end drops too).  Otherwise it
+    starts or ends at a jump, or starts just before one.  m at the fixed end
+    comes from the mesh, never through (x - t) + t, so a window that ends on
+    a jump keeps it.
     """
     ts = np.asarray(ts, dtype=float)
-    flat = np.atleast_1d(ts).astype(float)
-    xs, F, _ = m._mesh
+    flat = np.atleast_1d(ts)
+    xs, F, rho = m._mesh
     locs, _, cum = m._jump_arrays
 
-    def fc(a):
-        return np.interp(a, xs, F)
+    def m_before(x):
+        return np.interp(x, xs, F) + cum[np.searchsorted(locs, x, side="left")]
 
-    def jr(a):
-        if not locs.size:
-            return 0.0
-        return cum[np.searchsorted(locs, a, side="right")]
-
-    def jl(a):
-        if not locs.size:
-            return 0.0
-        return cum[np.searchsorted(locs, a, side="left")]
-
-    anchors = np.concatenate([xs, locs]) if locs.size else xs
+    after, before = np.append(rho, 0.0), np.insert(rho, 0, 0.0)
+    starts = np.concatenate([xs[after >= before], locs])
+    ends = np.concatenate([xs[after <= before], locs])
+    m_starts, m_ends = eval_m_many(m, starts), eval_m_many(m, ends)
+    m_left = m_before(locs)
     out = np.empty(flat.size)
-    chunk = max(1, int(4_000_000 / max(1, 2 * anchors.size + locs.size)))
+    chunk = max(1, _OMEGA_CHUNK // max(starts.size, ends.size))
     for k in range(0, flat.size, chunk):
-        t = flat[k:k + chunk][:, None]
-        a = np.concatenate([np.broadcast_to(anchors, (t.size, anchors.size)),
-                            anchors[None, :] - t], axis=1)
-        g = fc(a + t) - fc(a) + jr(a + t) - jr(a)
-        best = g.max(axis=1)
-        if locs.size:
-            gl = fc(locs[None, :] + t) - fc(locs)[None, :] \
-                + jl(locs[None, :] + t) - jl(locs)[None, :]
-            best = np.maximum(best, gl.max(axis=1))
-        out[k:k + chunk] = best
-    out = np.maximum(out, 0.0)
+        t = flat[k:k + chunk, None]
+        out[k:k + chunk] = np.maximum.reduce([
+            (eval_m_many(m, starts + t) - m_starts).max(axis=1, initial=0.0),
+            (m_ends - eval_m_many(m, ends - t)).max(axis=1, initial=0.0),
+            (m_before(locs + t) - m_left).max(axis=1, initial=0.0)])
     return out.reshape(ts.shape) if ts.shape else out[0]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nevkit as nk
+from nevkit.bounds import random_case
 from nevkit.integrators import (
     CantorPart,
     Integrator,
@@ -28,6 +29,7 @@ from nevkit.integrators import (
 )
 
 LN = math.log
+EPS = np.finfo(float).eps
 
 CANTOR = Integrator(end=1.0, cantor=CantorPart(0.0, 1.0, 1.0, depth=12))
 
@@ -176,6 +178,123 @@ def test_omega_monotone_subadditive(seed):
     assert om[-1] == pytest.approx(m.total_variation, rel=1e-10)
     s, t = 0.37, 0.91
     assert omega(m, s + t) <= omega(m, s) + omega(m, t) + 1e-10
+
+
+def _omega_full_scan(m, ts):
+    """omega_many before it scanned only the window ends where the mass can
+    peak: every kink and jump as a window start and shifted by -t, both
+    ends interpolated, plus the left limits at the jumps."""
+    ts = np.asarray(ts, dtype=float)
+    flat = np.atleast_1d(ts).astype(float)
+    xs, F, _ = m._mesh
+    locs, _, cum = m._jump_arrays
+
+    def fc(a):
+        return np.interp(a, xs, F)
+
+    def jr(a):
+        if not locs.size:
+            return 0.0
+        return cum[np.searchsorted(locs, a, side="right")]
+
+    def jl(a):
+        if not locs.size:
+            return 0.0
+        return cum[np.searchsorted(locs, a, side="left")]
+
+    anchors = np.concatenate([xs, locs]) if locs.size else xs
+    out = np.empty(flat.size)
+    chunk = max(1, int(4_000_000 / max(1, 2 * anchors.size + locs.size)))
+    for k in range(0, flat.size, chunk):
+        t = flat[k:k + chunk][:, None]
+        a = np.concatenate([np.broadcast_to(anchors, (t.size, anchors.size)),
+                            anchors[None, :] - t], axis=1)
+        g = fc(a + t) - fc(a) + jr(a + t) - jr(a)
+        best = g.max(axis=1)
+        if locs.size:
+            gl = fc(locs[None, :] + t) - fc(locs)[None, :] \
+                + jl(locs[None, :] + t) - jl(locs)[None, :]
+            best = np.maximum(best, gl.max(axis=1))
+        out[k:k + chunk] = best
+    out = np.maximum(out, 0.0)
+    return out.reshape(ts.shape) if ts.shape else out[0]
+
+
+def _widths(m, rng):
+    """A geometric sweep plus 20 gaps between kinks, at which both ends of a
+    window can sit on kinks."""
+    xs, _, _ = m._mesh
+    i, j = rng.integers(0, xs.size, size=(2, 20))
+    gaps = np.abs(xs[i] - xs[j])
+    return np.concatenate([np.geomspace(1e-6, 2.0 * m.end, 40), gaps[gaps > 0.0]])
+
+
+@given(st.integers(min_value=1, max_value=40))
+def test_omega_equals_the_full_scan_without_jumps(seed):
+    m = random_integrator(seed, with_jumps=False)
+    # a depth-10 staircase across the first two pieces, so that staircase
+    # blocks and piece ends overlap
+    a, b = (0.5 * (p.start + p.stop) for p in m.pieces[:2])
+    stairs = Integrator(end=m.end, pieces=m.pieces,
+                        cantor=CantorPart(a, b, 1.0, depth=10))
+    rng = np.random.default_rng(seed)
+    for mm in (m, stairs):
+        ts = _widths(mm, rng)
+        ref = _omega_full_scan(mm, ts)
+        tol = 64 * EPS * max(1.0, mm.total_variation)
+        assert np.all(np.abs(omega_many(mm, ts) - ref) <= tol)
+
+
+def _dense_best(m, ts):
+    """Best window mass over a uniform grid of 20,001 window starts, and over
+    the windows that end on a jump, taken as m(loc) - m(loc - t) directly."""
+    best, spacing = [], []
+    locs = np.array([j.location for j in m.jumps])
+    for t in ts:
+        a = np.linspace(-t, m.end, 20_001)
+        on_grid = eval_m_many(m, a + t) - eval_m_many(m, a)
+        on_jump = eval_m_many(m, locs) - eval_m_many(m, locs - t)
+        best.append(max(on_grid.max(), on_jump.max()))
+        spacing.append(a[1] - a[0])
+    return np.array(best), np.array(spacing)
+
+
+@given(st.integers(min_value=1, max_value=30))
+def test_omega_with_jumps_against_a_dense_scan(seed):
+    base = random_integrator(seed, with_jumps=False)
+    rng = np.random.default_rng((31, seed))
+    # one jump where a piece stops, so that the heaviest windows end on it,
+    # and one anywhere
+    at = (base.pieces[0].stop, float(rng.uniform(0.05 * base.end, 0.95 * base.end)))
+    jumps = tuple(Jump(x, float(h)) for x, h in zip(at, rng.uniform(0.1, 1.0, size=2)))
+    m = Integrator(end=base.end, pieces=base.pieces, cantor=base.cantor, jumps=jumps)
+    xs, _, rho = m._mesh
+    # a dense sweep, on which (loc - t) + t often rounds below loc, and
+    # widths that put a window's left end on a kink and its right end on a jump
+    gaps = np.concatenate([j.location - xs[xs < j.location] for j in jumps])
+    ts = np.concatenate([np.geomspace(1e-4, 2.0 * m.end, 100),
+                         rng.choice(gaps, size=min(20, gaps.size), replace=False)])
+    got = omega_many(m, ts)
+    best, spacing = _dense_best(m, ts)
+    rho_max = float(rho.max(initial=0.0))
+    # the scans sum the same masses in another order: 4 eps M of rounding
+    rounding = 4 * EPS * m.total_variation
+    assert np.all(got >= best - rounding)
+    assert np.all(got <= best + 2.0 * rho_max * spacing + 1e-12)
+    # next to the full scan the only change on jumps is a gain
+    assert np.all(got >= _omega_full_scan(m, ts) - rounding)
+
+
+def test_omega_window_ending_on_a_jump_keeps_the_jump():
+    # (loc - t) + t rounds one ulp below loc here, so the window
+    # (loc - t, loc] loses the jump at loc if its end is taken as that sum
+    m = random_case(42, seed=1).integrator
+    t = 0.3113403136581097
+    loc = m.jumps[0].location
+    assert (loc - t) + t < loc
+    want = eval_m(m, loc) - eval_m(m, loc - t)
+    assert want == pytest.approx(1.1624048, abs=1e-7)
+    assert omega(m, t) >= want
 
 
 def test_stabilization_oracles():
