@@ -131,7 +131,7 @@ def growth_bound_rhs(case: VerificationCase):
     total_mass = m.total_variation
     # the pair's ordering is exact by construction (shared tail integral), so
     # the staircase-heavy quadrature can run at a coarse budget here
-    kint_lhs, kint_rhs, d_m, _ = _log_pair_detailed(m, R, tol=100.0 * case.tol)
+    kint_lhs, kint_rhs, d_m = _log_pair_detailed(m, R, tol=100.0 * case.tol)
     factor = 6.0 * R / (R - r)
     second = max(total_mass, kint_lhs)
     rhs = factor * bold_t * second if bold_t and second else 0.0

@@ -202,17 +202,16 @@ def _load_rational(path: str):
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     except FileNotFoundError:
         raise ParseError(f"rational file not found: {path}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: rational must be a JSON object")
 
     def divisor(key):
-        out = []
-        for entry in doc.get(key, ()):
-            try:
-                out.append((complex(entry["re"], entry["im"]), int(entry["mult"])))
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"{path}: bad {key} entry: {exc}") from None
-        return tuple(out)
+        return tuple((complex(e["re"], e["im"]), int(e["mult"])) for e in doc.get(key, ()))
 
-    return divisor("zeros"), divisor("poles"), float(doc.get("scale", 1.0))
+    try:
+        return divisor("zeros"), divisor("poles"), float(doc.get("scale", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad rational document: {exc}") from None
 
 
 CLASSICAL_COLUMNS = ("index", "r", "R", "lhs", "rhs", "ratio", "bridge", "verdict")

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ParseError, ToleranceNotReached
 from .quad import adaptive_simpson
 
-_OMEGA_REL_TOL = 1e-13  # total-variation comparisons on exact evaluations
 _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
 # floats per temporary of omega_many (128 KiB): at this size the allocator
 # reuses a chunk's memory for the next, where 32,768 and more made numpy fault
@@ -278,22 +277,16 @@ class ModulusProfile:
 
 
 def _stabilization(m: Integrator) -> float:
-    """Smallest window width at which omega reaches the total variation."""
-    M = m.total_variation
-    if M == 0.0:
-        return 0.0
-    cut = M * (1.0 - _OMEGA_REL_TOL)
-    eps = m.end * 1e-15
-    if omega(m, eps) >= cut:
-        return 0.0
-    lo, hi = eps, m.end
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if omega(m, mid) >= cut:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    """Infimum of the window widths at which omega reaches the total variation.
+
+    A window (a, a+t] holds all the mass only when it covers the hull
+    [lo, hi] of the support, and every neighbourhood of lo and of hi carries
+    mass, so the infimum is hi - lo, with or without jumps (0 for constant m).
+    Without jumps omega(hi - lo) is the total variation; a jump at lo is
+    covered only by windows wider than hi - lo.
+    """
+    support = nonconstancy_support(m)
+    return support[-1][1] - support[0][0] if support else 0.0
 
 
 def modulus_of_continuity(m: Integrator, R: float, grid_size: int = 64) -> ModulusProfile:
@@ -353,35 +346,31 @@ def dini_integral(m: Integrator, R: float, tol: float = 1e-6) -> float:
     if m.jumps:
         return math.inf
     M = m.total_variation
-    if M == 0.0:
-        return 0.0
     cap = 4.0 * R
     scale = max(1.0, M * (1.0 + abs(math.log(max(cap, 1e-300)))))
     return _omega_over_t_integral(m, cap, tol * scale * 0.5)
 
 
 def _log_pair_detailed(m: Integrator, R: float, tol: float):
-    """(lhs, rhs, d, tail_integral) of the stabilized log-kernel comparison.
+    """(lhs, rhs, d) of the stabilized log-kernel comparison.
 
     d is not computed (nan) when m jumps: both sides are +inf regardless.
     """
     if m.jumps:
-        return math.inf, math.inf, math.nan, math.inf
-    M = m.total_variation
-    if M == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    cap = 4.0 * R
+        return math.inf, math.inf, math.nan
     d = _stabilization(m)
-    if d <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
+    if d == 0.0:
+        return 0.0, 0.0, 0.0
+    cap = 4.0 * R
     if d > cap:
         raise ValueError("outer radius too small: stabilization exceeds 4R")
-    scale = max(1.0, M * (1.0 + abs(math.log(cap / d))))
-    tail = _omega_over_t_integral(m, d, tol * scale * 0.25)
+    M = m.total_variation
     log_term = math.log(cap / d)
+    scale = max(1.0, M * (1.0 + abs(log_term)))
+    tail = _omega_over_t_integral(m, d, tol * scale * 0.25)
     lhs = omega(m, d) * log_term + tail
     rhs = M * log_term + tail
-    return lhs, rhs, d, tail
+    return lhs, rhs, d
 
 
 def omega_log_kernel_pair(m: Integrator, R: float, tol: float = 1e-6):
@@ -393,7 +382,7 @@ def omega_log_kernel_pair(m: Integrator, R: float, tol: float = 1e-6):
     at 0 vanishes exactly when the Dini integral is finite, and jump
     integrators therefore return (+inf, +inf).  A constant m returns (0, 0).
     """
-    lhs, rhs, _, _ = _log_pair_detailed(m, R, tol)
+    lhs, rhs, _ = _log_pair_detailed(m, R, tol)
     return lhs, rhs
 
 
@@ -635,6 +624,8 @@ def integrator_from_json(text: str) -> Integrator:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("integrator document must be a JSON object")
     try:
         pieces = tuple(Piece(p["from"], p["to"], p["slope"])
                        for p in doc.get("pieces", ()))
@@ -644,6 +635,4 @@ def integrator_from_json(text: str) -> Integrator:
         jumps = tuple(Jump(j["x"], j["h"]) for j in doc.get("jumps", ()))
         return Integrator(end=doc["end"], pieces=pieces, cantor=cantor, jumps=jumps)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"bad integrator document: {exc}") from None

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,9 +90,22 @@ class DeltaSubharmonicModel:
             raise CoincidentOppositeAtoms(
                 f"atoms of both signs at {sorted(shared, key=abs)[0]}")
 
+    @cached_property
+    def _atom_arrays(self):
+        """Locations, masses, radii, and candidate angles (each atom's angle
+        and its antipode), read-only since every evaluation shares them."""
+        locs = np.array([a.location for a in self.atoms], dtype=complex)
+        masses = np.array([a.mass for a in self.atoms], dtype=float)
+        radii = np.array([a.radius for a in self.atoms], dtype=float)
+        ang = np.angle(locs)
+        angles = np.concatenate([ang, ang + np.pi]) % (2.0 * np.pi)
+        for arr in (locs, masses, radii, angles):
+            arr.flags.writeable = False
+        return locs, masses, radii, angles
+
     @property
     def atom_radii(self) -> np.ndarray:
-        return np.array([a.radius for a in self.atoms], dtype=float)
+        return self._atom_arrays[2]
 
 
 EMPTY_MODEL = DeltaSubharmonicModel()
@@ -114,18 +128,12 @@ class RadialWindow:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _atom_arrays(model: DeltaSubharmonicModel):
-    locs = np.array([a.location for a in model.atoms], dtype=complex)
-    masses = np.array([a.mass for a in model.atoms], dtype=float)
-    return locs, masses
-
-
 def evaluate_many(model: DeltaSubharmonicModel, z) -> np.ndarray:
     """Pointwise values on an array of complex points; +-inf at atoms."""
     z = np.asarray(z, dtype=complex)
     out = model.harmonic(z) if model.harmonic.coefficients else np.zeros(z.shape)
     if model.atoms:
-        locs, masses = _atom_arrays(model)
+        locs, masses, _, _ = model._atom_arrays
         dist = np.abs(z[..., None] - locs)
         with np.errstate(divide="ignore"):
             out = out + np.log(dist) @ masses
@@ -141,13 +149,6 @@ def _circle(model: DeltaSubharmonicModel, t: float):
     def f(theta):
         return evaluate_many(model, t * np.exp(1j * np.asarray(theta)))
     return f
-
-
-def _atom_angles(model: DeltaSubharmonicModel) -> np.ndarray:
-    if not model.atoms:
-        return np.empty(0)
-    ang = np.angle(np.array([a.location for a in model.atoms]))
-    return np.concatenate([ang, ang + np.pi]) % (2.0 * np.pi)
 
 
 def _on_circle(radii: np.ndarray, t: float) -> np.ndarray:
@@ -194,7 +195,8 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.
 def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
                       samples: int) -> np.ndarray:
     base = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    cand = np.concatenate([base, _atom_angles(model)])
+    angles = model._atom_arrays[3]
+    cand = np.concatenate([base, angles])
     z = tp[:, None] * np.exp(1j * cand)[None, :]
     vals = evaluate_many(model, z)
     vals = np.where(np.isnan(vals), -np.inf, vals)
@@ -203,7 +205,7 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
     # polish around the grid argmax and around each atom angle
     spacing = 2.0 * np.pi / samples
     centers = [cand[np.argmax(vals, axis=1)]]
-    for ang in _atom_angles(model):
+    for ang in angles:
         centers.append(np.full(tp.shape, ang))
     ctr = np.stack(centers, axis=1)
     lo = ctr - spacing
@@ -218,7 +220,7 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
     best = np.maximum(best, np.max(polished, axis=1))
 
     if model.atoms:
-        locs, masses = _atom_arrays(model)
+        locs, masses, _, _ = model._atom_arrays
         neg_radii = np.abs(locs[masses < 0])
         if neg_radii.size:
             coll = np.any(np.abs(tp[:, None] - neg_radii[None, :])
@@ -240,7 +242,7 @@ def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
     c0 = model.harmonic.coefficients[0].real if model.harmonic.coefficients else 0.0
     if not model.atoms:
         return c0
-    locs, masses = _atom_arrays(model)
+    locs, masses, _, _ = model._atom_arrays
     radii = np.abs(locs)
     if _on_circle(radii, t).any():
         raise AtomOnCircle(t)
@@ -270,7 +272,7 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     # the crossing scan runs on a denser grid than the quadrature would need:
     # a sign change missed inside one cell puts a kink into a panel, where the
     # Richardson acceptance test underestimates the true panel error
-    features = np.unique(np.concatenate([_atom_angles(model_a), _atom_angles(model_b)]))
+    features = np.unique(np.concatenate([model_a._atom_arrays[3], model_b._atom_arrays[3]]))
     base = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
     nodes = np.unique(np.concatenate([base, features]))
     diff = fa(nodes) - fb(nodes)
@@ -374,6 +376,8 @@ def model_from_json(text: str) -> DeltaSubharmonicModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("model document must be a JSON object")
     try:
         atoms = tuple(RieszAtom(complex(a["re"], a["im"]), a["mass"])
                       for a in doc.get("atoms", ()))

@@ -194,18 +194,46 @@ def test_classical_needs_input():
 
 def test_classical_bad_rational(tmp_path):
     spec = tmp_path / "bad.json"
-    spec.write_text(json.dumps({"zeros": [{"re": 0.0}]}))
-    assert main(["classical", "--rational", str(spec)]) == EXIT_PARSE
+    for doc in ({"zeros": [{"re": 0.0}]}, {"zeros": 5}, {"scale": [1]},
+                {"poles": [{"re": 0.0, "im": 0.0, "mult": "x"}]}):
+        spec.write_text(json.dumps(doc))
+        assert main(["classical", "--rational", str(spec)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("command", [["characteristics", "--radii", "1", "--model"],
+                                     ["classical", "--rational"]])
+def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    assert main([*command, str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nevkit:")
 
 
 # -- process-level entry -------------------------------------------------------------
 
-def test_module_entry_point():
+def run_python(*args):
     # the subprocess must import the nevkit under test, not an installed copy
     src = os.path.dirname(os.path.dirname(os.path.abspath(nk.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    got = subprocess.run([sys.executable, "-m", "nevkit.cli", "--version"],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_module_entry_point():
+    got = run_python("-m", "nevkit.cli", "--version")
     assert got.returncode == 0
     assert got.stdout.strip() == f"nevkit {nk.__version__}"
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+
+def test_scripts_run():
+    got = run_python(os.path.join(SCRIPTS, "verify_growth_bound.py"), "--cases", "5")
+    assert got.returncode == 0, got.stderr
+    assert "5/5 cases hold" in got.stdout
+    got = run_python(os.path.join(SCRIPTS, "counterexample_table.py"),
+                     "--epsilons", "0.1,0.01,0")
+    assert got.returncode == 0, got.stderr

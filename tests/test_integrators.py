@@ -299,13 +299,29 @@ def test_omega_window_ending_on_a_jump_keeps_the_jump():
 
 def test_stabilization_oracles():
     prof = modulus_of_continuity(lebesgue(2.0), R=4.0)
-    assert prof.stab_diameter == pytest.approx(2.0, abs=1e-11)
+    assert prof.stab_diameter == 2.0
     jump_only = Integrator(end=2.0, jumps=(Jump(1.0, 1.0),))
     assert modulus_of_continuity(jump_only, R=4.0).stab_diameter == 0.0
     stairs = modulus_of_continuity(CANTOR, R=4.0)
-    assert stairs.stab_diameter == pytest.approx(1.0, abs=1e-11)
+    assert stairs.stab_diameter == 1.0
     with pytest.raises(ValueError):
         modulus_of_continuity(lebesgue(1.0), R=4.0, grid_size=8)
+
+
+@given(st.integers(min_value=1, max_value=60), st.booleans())
+def test_stabilization_is_the_support_hull_width(seed, with_jumps):
+    m = random_integrator(seed, with_jumps=with_jumps)
+    ends = [(p.start, p.stop) for p in m.pieces if p.slope > 0]
+    if m.cantor is not None:
+        ends.append((m.cantor.start, m.cantor.stop))
+    ends.extend((j.location, j.location) for j in m.jumps)
+    d = max(b for _, b in ends) - min(a for a, _ in ends) if ends else 0.0
+    assert modulus_of_continuity(m, R=m.end).stab_diameter == d
+    # omega reaches the total variation just past d and not just before it
+    M = m.total_variation
+    assert omega(m, d * (1.0 + 1e-9)) >= M - 4 * EPS * M
+    if d > 0.0:
+        assert omega(m, d * (1.0 - 1e-6)) < M
 
 
 # -- Dini integral and the stabilized pair ------------------------------------
@@ -458,3 +474,5 @@ def test_integrator_json_errors():
         integrator_from_json("{")
     with pytest.raises(nk.ParseError):
         integrator_from_json(json.dumps({"end": 1.0, "pieces": [{"from": 0.0}]}))
+    with pytest.raises(nk.ParseError):
+        integrator_from_json("[1]")

@@ -188,6 +188,8 @@ def test_model_json_parse_error_diagnostics():
     assert "line 1" in str(info.value)
     with pytest.raises(nk.ParseError):
         nk.model_from_json(json.dumps({"atoms": [{"re": 0.0}]}))
+    with pytest.raises(nk.ParseError):
+        nk.model_from_json("[1]")
 
 
 def test_model_json_is_plain_data(pole_model):
