@@ -16,10 +16,10 @@ from .integrators import (CantorPart, Integrator, Jump, LogSingularity,
                           lebesgue, log_kernel_integral, modulus_of_continuity,
                           nonconstancy_support, omega, omega_log_kernel_pair,
                           omega_many, stieltjes_integral)
-from .characteristics import (ChargeView, ClassicalCharacteristic, ReportRow,
+from .characteristics import (ChargeView, ClassicalCharacteristic,
                               classical_characteristic, diff_nevanlinna,
                               diff_nevanlinna_total, integrated_counting,
-                              jensen_residual, radial_counting, rows_to_csv)
+                              jensen_residual, radial_counting)
 from .bounds import (VerificationCase, VerificationReport, classical_shape_check,
                      counterexample_scan, counting_bound, generate_cases,
                      growth_bound_lhs, growth_bound_rhs, growth_bound_verify,

@@ -149,32 +149,3 @@ def classical_characteristic(zeros=(), poles=(), scale: float = 1.0,
             counting += mult * math.log(r / rho)
     return ClassicalCharacteristic(radius=r, proximity=proximity, counting=counting)
 
-
-# ---------------------------------------------------------------------------
-# tabular reporting
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One CSV line: a named quantity at one radius or radius pair."""
-
-    quantity: str
-    r: float | None
-    R: float | None
-    value: float
-    route: str
-    tolerance: float | None
-
-    def fields(self):
-        def num(v):
-            return "" if v is None else repr(float(v))
-        return (self.quantity, num(self.r), num(self.R), num(self.value),
-                self.route, num(self.tolerance))
-
-
-CSV_HEADER = "quantity,r,R,value,route,tolerance"
-
-
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(row.fields()) for row in rows)
-    return "\n".join(lines) + "\n"

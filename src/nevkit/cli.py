@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -24,10 +23,9 @@ from datetime import datetime, timezone
 from . import __version__
 from .bounds import (classical_shape_check, classical_suite, counterexample_scan,
                      generate_cases, scan_slope, verify_suite)
-from .characteristics import (CSV_HEADER, ChargeView, ReportRow,
-                              diff_nevanlinna, diff_nevanlinna_total,
-                              radial_counting, rows_to_csv)
-from .errors import NevkitError, ParseError
+from .characteristics import (ChargeView, diff_nevanlinna,
+                              diff_nevanlinna_total, radial_counting)
+from .errors import NevkitError, ParseError, json_object
 from .potentials import (RadialWindow, circle_max, circle_mean,
                          circle_mean_plus, model_from_json)
 
@@ -50,13 +48,8 @@ class RunConfig:
         data = {}
         path = getattr(args, "config", None)
         if path:
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-            if not isinstance(data, dict):
-                raise ParseError(f"{path}: config must be a JSON object")
+            with open(path) as fh:
+                data = json_object(fh.read(), path)
         return cls(data=data)
 
     def get(self, args, key, default=None):
@@ -79,17 +72,23 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
-def _emit(lines, args, cfg) -> str:
+def _table(columns, rows) -> str:
+    """CSV header line, then one line per row of cells."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines)
+
+
+def _emit(body: str, args, cfg) -> str:
     text = ""
     if not cfg.get(args, "no_timestamp", False):
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         text += f"# generated {stamp}\n"
-    text += "\n".join(lines) + "\n"
-    return text
+    return text + body + "\n"
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -126,6 +125,9 @@ def _load_model(cfg, args):
         raise ParseError(f"model file not found: {spec}") from None
 
 
+CHARACTERISTICS_COLUMNS = ("quantity", "r", "R", "value", "route", "tolerance")
+
+
 def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
     model = _load_model(cfg, args)
     radii = sorted(set(_parse_floats(cfg.get(args, "radii", "1.0"), "radii")))
@@ -136,22 +138,20 @@ def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
 
     rows = []
     for t in radii:
-        rows.append(ReportRow("M_U", t, None, circle_max(model, t), "envelope", None))
-        rows.append(ReportRow("C_U", t, None, circle_mean(model, t), "closed", None))
-        rows.append(ReportRow("C_U_plus", t, None,
-                              circle_mean_plus(model, t, tol=tol), "quadrature", tol))
-        rows.append(ReportRow("mu_rd", t, None, radial_counting(neg, t), "closed", None))
+        rows.append(("M_U", t, None, circle_max(model, t), "envelope", None))
+        rows.append(("C_U", t, None, circle_mean(model, t), "closed", None))
+        rows.append(("C_U_plus", t, None, circle_mean_plus(model, t, tol=tol),
+                     "quadrature", tol))
+        rows.append(("mu_rd", t, None, radial_counting(neg, t), "closed", None))
     windows = list(zip(radii, radii[1:]))
     if len(radii) > 2:
         windows.append((radii[0], radii[-1]))
     for r, R in windows:
         w = RadialWindow(r, R)
-        rows.append(ReportRow("T", r, R, diff_nevanlinna(model, w, tol=tol),
-                              "charge", tol))
-        rows.append(ReportRow("T_total", r, R,
-                              diff_nevanlinna_total(model, w, tol=tol),
-                              "anchored", tol))
-    return rows_to_csv(rows).rstrip("\n"), False
+        rows.append(("T", r, R, diff_nevanlinna(model, w, tol=tol), "charge", tol))
+        rows.append(("T_total", r, R, diff_nevanlinna_total(model, w, tol=tol),
+                     "anchored", tol))
+    return _table(CHARACTERISTICS_COLUMNS, rows), False
 
 
 VERIFY_COLUMNS = ("case_id", "seed", "lhs", "rhs", "ratio", "verdict",
@@ -165,45 +165,36 @@ def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
     seed = int(cfg.get(args, "seed", 1))
     tol = float(cfg.get(args, "tol", 1e-6))
     reports = verify_suite(generate_cases(n, seed=seed, tol=tol))
-    lines = [",".join(VERIFY_COLUMNS)]
-    for rep in reports:
-        vals = [rep.case_id, rep.seed, rep.lhs, rep.rhs, rep.ratio, rep.verdict]
-        vals += [rep.components[k] for k in VERIFY_COLUMNS[6:-1]]
-        vals.append(rep.certificate or "")
-        lines.append(",".join(_fmt(float(v)) if isinstance(v, float) else _fmt(v)
-                              for v in vals))
+    rows = [(rep.case_id, rep.seed, rep.lhs, rep.rhs, rep.ratio, rep.verdict,
+             *(rep.components[k] for k in VERIFY_COLUMNS[6:-1]), rep.certificate)
+            for rep in reports]
     passed = sum(1 for rep in reports if rep.passed)
-    lines.append(f"# summary passed={passed} total={len(reports)}")
-    return "\n".join(lines), passed != len(reports)
+    return (f"{_table(VERIFY_COLUMNS, rows)}\n"
+            f"# summary passed={passed} total={len(reports)}", passed != len(reports))
 
 
 def run_counterexample(args, cfg: RunConfig) -> tuple[str, bool]:
     spec = cfg.get(args, "epsilons")
     eps = _parse_floats(spec, "epsilons") if spec is not None else None
     rows = counterexample_scan(tuple(eps)) if eps else counterexample_scan()
-    lines = ["epsilon,lhs,dini"]
-    for row in rows:
-        lines.append(f"{_fmt(row.epsilon)},{_fmt(row.lhs)},{_fmt(row.dini)}")
+    table = _table(("epsilon", "lhs", "dini"),
+                   ((row.epsilon, row.lhs, row.dini) for row in rows))
     slope = scan_slope(rows)
-    lines.append(f"# lhs_slope={slope:.6f}")
     finite = [row for row in rows if row.epsilon > 0.0]
     ordered = sorted(finite, key=lambda row: -row.epsilon)
     monotone = all(a.lhs < b.lhs and a.dini < b.dini
                    for a, b in zip(ordered, ordered[1:]))
     failed = not (SLOPE_BAND[0] <= slope <= SLOPE_BAND[1] and monotone)
-    return "\n".join(lines), failed
+    return f"{table}\n# lhs_slope={slope:.6f}", failed
 
 
 def _load_rational(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+            text = fh.read()
     except FileNotFoundError:
         raise ParseError(f"rational file not found: {path}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: rational must be a JSON object")
+    doc = json_object(text, path)
 
     def divisor(key):
         return tuple((complex(e["re"], e["im"]), int(e["mult"])) for e in doc.get(key, ()))
@@ -233,16 +224,11 @@ def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
         r = float(cfg.get(args, "r", 1.0))
         k = float(cfg.get(args, "k", 2.0))
         results.append((1, classical_shape_check(zeros, poles, scale, r, k, tol=tol)))
-    lines = [",".join(CLASSICAL_COLUMNS)]
-    failed = False
-    for index, res in results:
-        failed = failed or res["verdict"] != "pass"
-        lines.append(",".join(_fmt(v) for v in (
-            index, res["r"], res["R"], res["lhs"], res["rhs"], res["ratio"],
-            res["bridge"], res["verdict"])))
-    lines.append(f"# summary passed={sum(1 for _, r in results if r['verdict'] == 'pass')} "
-                 f"total={len(results)}")
-    return "\n".join(lines), failed
+    rows = [(index, *(res[k] for k in CLASSICAL_COLUMNS[1:])) for index, res in results]
+    passed = sum(1 for _, res in results if res["verdict"] == "pass")
+    failed = any(res["verdict"] != "pass" for _, res in results)
+    return (f"{_table(CLASSICAL_COLUMNS, rows)}\n"
+            f"# summary passed={passed} total={len(results)}", failed)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +281,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.load(args)
         body, failed = args.fn(args, cfg)
-        text = _emit([body], args, cfg)
+        text = _emit(body, args, cfg)
         out = cfg.get(args, "out")
     except ParseError as exc:
         print(f"nevkit: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one JSON reader."""
 from __future__ import annotations
+
+import json
 
 
 class NevkitError(Exception):
@@ -36,3 +38,15 @@ class ToleranceNotReached(NevkitError, ArithmeticError):
 
 class ParseError(NevkitError, ValueError):
     """Malformed serialized input (model, integrator, or run config)."""
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse text as one JSON object; `what` names the document in errors."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: invalid JSON at line {exc.lineno} "
+                         f"col {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what}: must be a JSON object")
+    return doc

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParseError, ToleranceNotReached
+from .errors import ParseError, ToleranceNotReached, json_object
 from .quad import adaptive_simpson
 
 _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
@@ -620,12 +620,7 @@ def integrator_to_json(m: Integrator, indent: int | None = None) -> str:
 
 
 def integrator_from_json(text: str) -> Integrator:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("integrator document must be a JSON object")
+    doc = json_object(text, "integrator document")
     try:
         pieces = tuple(Piece(p["from"], p["to"], p["slope"])
                        for p in doc.get("pieces", ()))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AtomOnCircle, CoincidentOppositeAtoms, ParseError,
-                     SharedZeroPole)
+                     SharedZeroPole, json_object)
 from .quad import adaptive_simpson, bisect_sign_changes, golden_max
 
 RADIUS_TOL = 1e-12  # relative distance at which an atom counts as on a circle
@@ -59,10 +59,6 @@ class HarmonicPart:
         if any(not (math.isfinite(c.real) and math.isfinite(c.imag)) for c in coeffs):
             raise ValueError("harmonic coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -372,12 +368,7 @@ def model_to_json(model: DeltaSubharmonicModel, indent: int | None = None) -> st
 
 
 def model_from_json(text: str) -> DeltaSubharmonicModel:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("model document must be a JSON object")
+    doc = json_object(text, "model document")
     try:
         atoms = tuple(RieszAtom(complex(a["re"], a["im"]), a["mass"])
                       for a in doc.get("atoms", ()))

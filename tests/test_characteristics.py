@@ -6,16 +6,13 @@ from hypothesis import given, strategies as st
 
 import nevkit as nk
 from nevkit.characteristics import (
-    CSV_HEADER,
     ChargeView,
-    ReportRow,
     classical_characteristic,
     diff_nevanlinna,
     diff_nevanlinna_total,
     integrated_counting,
     jensen_residual,
     radial_counting,
-    rows_to_csv,
 )
 
 from conftest import random_model
@@ -197,16 +194,3 @@ def test_log_modulus_at_oracle():
     f = nk.from_rational(zeros=((2.0, 1),), poles=((1.0, 2),), scale=1.0)
     assert nk.evaluate(f, 3j) == pytest.approx(0.5 * LN(13.0) - LN(10.0), abs=1e-12)
     assert nk.evaluate(nk.from_rational(poles=((1.0, 1),)), 1.0) == math.inf
-
-
-# -- CSV reporting ---------------------------------------------------------------
-
-def test_rows_to_csv_shape():
-    rows = (ReportRow("M_U", 2.0, None, 1.5, "envelope", 1e-8),
-            ReportRow("T", 2.0, 4.0, 0.25, "charge", None))
-    text = rows_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
-    assert lines[1].split(",") == ["M_U", "2.0", "", "1.5", "envelope", "1e-08"]
-    assert lines[2].split(",") == ["T", "2.0", "4.0", "0.25", "charge", ""]
-    assert text.endswith("\n")

@@ -8,6 +8,7 @@ import pytest
 
 import nevkit as nk
 from nevkit.cli import (
+    CHARACTERISTICS_COLUMNS,
     EXIT_FAIL,
     EXIT_IO,
     EXIT_OK,
@@ -15,7 +16,6 @@ from nevkit.cli import (
     VERIFY_COLUMNS,
     main,
 )
-from nevkit.characteristics import CSV_HEADER
 
 LN = math.log
 
@@ -44,7 +44,8 @@ def test_characteristics_csv(tmp_path, model_path):
                  "--radii", "0.5,2.0,4.0", "--no-timestamp", "--out", str(out)])
     assert code == EXIT_OK
     header, rows = read_rows(out)
-    assert ",".join(header) == CSV_HEADER
+    assert tuple(header) == CHARACTERISTICS_COLUMNS
+    assert out.read_text().endswith("\n")
     by_key = {(r["quantity"], r["r"], r["R"]): r for r in rows}
     assert float(by_key[("M_U", "0.5", "")]["value"]) == pytest.approx(LN(10.0), abs=1e-8)
     assert float(by_key[("C_U", "4.0", "")]["value"]) == pytest.approx(LN(1.25), abs=1e-12)
@@ -57,6 +58,12 @@ def test_characteristics_csv(tmp_path, model_path):
     t_rows = [r for r in rows if r["quantity"] == "T"]
     assert [(r["r"], r["R"]) for r in t_rows] \
         == [("0.5", "2.0"), ("2.0", "4.0"), ("0.5", "4.0")]
+    # absent cells are empty; a tolerance is written as repr of the float
+    for r in rows:
+        per_radius = r["quantity"] in ("M_U", "C_U", "C_U_plus", "mu_rd")
+        assert (r["R"] == "") == per_radius
+        quadrature = r["quantity"] in ("C_U_plus", "T", "T_total")
+        assert r["tolerance"] == (repr(1e-6) if quadrature else "")
 
 
 def test_characteristics_stdout_timestamp(capsys, model_path):
@@ -64,7 +71,7 @@ def test_characteristics_stdout_timestamp(capsys, model_path):
     assert code == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("# generated ")
-    assert lines[1] == CSV_HEADER
+    assert lines[1] == ",".join(CHARACTERISTICS_COLUMNS)
 
 
 def test_characteristics_config_merge(tmp_path):
@@ -201,13 +208,17 @@ def test_classical_bad_rational(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["characteristics", "--radii", "1", "--model"],
-                                     ["classical", "--rational"]])
+                                     ["classical", "--rational"],
+                                     ["characteristics", "--radii", "1", "--config"]])
 def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
-    bad.write_text("[1]")
-    assert main([*command, str(bad)]) == EXIT_PARSE
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("nevkit:")
+    for text in ("[1]", "{"):
+        bad.write_text(text)
+        assert main([*command, str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("nevkit:")
+        if text == "{":
+            assert "line 1" in err[0]
 
 
 # -- process-level entry -------------------------------------------------------------
