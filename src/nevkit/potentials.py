@@ -127,7 +127,11 @@ class RadialWindow:
 def evaluate_many(model: DeltaSubharmonicModel, z) -> np.ndarray:
     """Pointwise values on an array of complex points; +-inf at atoms."""
     z = np.asarray(z, dtype=complex)
-    out = model.harmonic(z) if model.harmonic.coefficients else np.zeros(z.shape)
+    coeffs = model.harmonic.coefficients
+    if len(coeffs) > 1:
+        out = model.harmonic(z)
+    else:  # a constant background needs no complex Horner pass
+        out = np.full(z.shape, coeffs[0].real if coeffs else 0.0)
     if model.atoms:
         locs, masses, _, _ = model._atom_arrays
         dist = np.abs(z[..., None] - locs)
@@ -166,9 +170,13 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.
     """Vectorized circle suprema over an array of radii.
 
     Grid scan over angles (including every atom angle and its antipode as
-    candidates) followed by golden-section polish of the best brackets.
-    Work is chunked over radii to keep the radius x angle x atom broadcasts
-    within a fixed memory budget.
+    candidates) followed by golden-section polish of the brackets of half
+    width one grid spacing around the grid argmax and each atom angle and
+    antipode.  A bracket is polished only if it can beat the grid maximum:
+    its sup is at most its centre value plus ``_angular_lipschitz`` times
+    the spacing, so a pruned bracket's true sup is at most the grid maximum
+    up to the rounding of its centre value.  Work is chunked over radii to
+    keep the radius x angle x atom broadcasts within a fixed memory budget.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
@@ -188,6 +196,20 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.
     return out
 
 
+def _angular_lipschitz(model: DeltaSubharmonicModel, tp: np.ndarray) -> np.ndarray:
+    """Bound on |dU/dtheta| over the circle of each radius t in ``tp``:
+    t * (sum_k k |c_k| t**(k-1) + sum_j |m_j| / |t - |a_j||), since
+    |z - a_j| >= |t - |a_j||; +inf where an atom lies on the circle."""
+    slope = np.zeros(tp.shape)
+    for k, c in enumerate(model.harmonic.coefficients[1:], start=1):
+        slope += k * abs(c) * tp ** (k - 1)
+    if model.atoms:
+        _, masses, radii, _ = model._atom_arrays
+        with np.errstate(divide="ignore"):
+            slope += (np.abs(masses) / np.abs(tp[:, None] - radii)).sum(axis=1)
+    return tp * slope
+
+
 def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
                       samples: int) -> np.ndarray:
     base = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
@@ -198,22 +220,25 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
     vals = np.where(np.isnan(vals), -np.inf, vals)
     best = np.max(vals, axis=1)
 
-    # polish around the grid argmax and around each atom angle
+    # brackets around the grid argmax and around each atom angle, kept where
+    # centre value + L * spacing may exceed best; a nan reach (-inf + inf,
+    # a positive atom on the circle) stays live
     spacing = 2.0 * np.pi / samples
-    centers = [cand[np.argmax(vals, axis=1)]]
-    for ang in angles:
-        centers.append(np.full(tp.shape, ang))
-    ctr = np.stack(centers, axis=1)
-    lo = ctr - spacing
-    hi = ctr + spacing
+    ctr = np.column_stack([cand[np.argmax(vals, axis=1)],
+                           np.broadcast_to(angles, (tp.size, angles.size))])
+    at_ctr = np.column_stack([best, vals[:, samples:]])
+    with np.errstate(invalid="ignore"):
+        reach = at_ctr + _angular_lipschitz(model, tp)[:, None] * spacing
+    row, col = np.nonzero(~(reach <= best[:, None]))
+    if row.size:
+        t_live = tp[row]
 
-    def f(theta):
-        zz = tp[:, None] * np.exp(1j * theta)
-        v = evaluate_many(model, zz)
-        return np.where(np.isnan(v), -np.inf, v)
+        def f(theta):
+            v = evaluate_many(model, t_live * np.exp(1j * theta))
+            return np.where(np.isnan(v), -np.inf, v)
 
-    polished = golden_max(f, lo, hi)
-    best = np.maximum(best, np.max(polished, axis=1))
+        c = ctr[row, col]
+        np.maximum.at(best, row, golden_max(f, c - spacing, c + spacing))
 
     if model.atoms:
         locs, masses, _, _ = model._atom_arrays

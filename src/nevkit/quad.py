@@ -123,6 +123,9 @@ def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray,
 def golden_max(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized golden-section maximization over the brackets [lo, hi].
 
+    Each step keeps the part of the bracket on the side of the better probe;
+    that part's other probe is the old probe it keeps, so ``f`` is called on
+    one new probe per bracket per step: 4 + GOLDEN_STEPS points per bracket.
     Returns the maximum of the endpoint and probe values seen; unimodality is
     not required for correctness of that lower envelope, only for sharpness.
     """
@@ -136,10 +139,11 @@ def golden_max(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for _ in range(GOLDEN_STEPS):
         best = np.maximum(best, np.maximum(f1, f2))
         take_left = f1 >= f2
+        # keeping [lo, x2] makes x1 its upper probe; keeping [x1, hi], x2 its lower
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
-        x1 = hi - _INVPHI * (hi - lo)
-        x2 = lo + _INVPHI * (hi - lo)
-        f1 = f(x1)
-        f2 = f(x2)
+        x = np.where(take_left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        fx = f(x)
+        x1, x2 = np.where(take_left, x, x2), np.where(take_left, x1, x)
+        f1, f2 = np.where(take_left, fx, f2), np.where(take_left, f1, fx)
     return np.maximum(best, np.maximum(f1, f2))

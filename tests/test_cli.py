@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -248,3 +249,30 @@ def test_scripts_run():
     got = run_python(os.path.join(SCRIPTS, "counterexample_table.py"),
                      "--epsilons", "0.1,0.01,0")
     assert got.returncode == 0, got.stderr
+
+
+def test_bench_pairs_summary():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(SCRIPTS, "bench_pairs.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def run(ops, p50):
+        return {"metrics": {"ops_per_s": ops, "op_p50_s": p50}}
+
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    pairs = [{"base": run(b, 1.0), "head": run(b + 9.0, 1.0 if i else 0.5)}
+             for i, b in enumerate(base)]
+    got = bench.summarize(pairs, {"ops_per_s": "higher", "op_p50_s": "lower"})
+    ops = got["ops_per_s"]
+    assert (ops["wins"], ops["losses"]) == (10, 0)
+    assert ops["base"] == {"median": 14.5, "q1": 12.25, "q3": 16.75}
+    assert ops["gain"]  # 9.0 apart, base IQR 4.5
+    # one win and nine ties: ties count for neither side, and no gain
+    p50 = got["op_p50_s"]
+    assert (p50["wins"], p50["losses"], p50["gain"]) == (1, 0, False)
+    # 9 wins of 10 but a gap inside the base IQR is no gain either
+    close = [{"base": run(b, 1.0), "head": run(b + (1.0 if i else -1.0), 1.0)}
+             for i, b in enumerate(base)]
+    got = bench.summarize(close, {"ops_per_s": "higher"})["ops_per_s"]
+    assert (got["wins"], got["losses"], got["gain"]) == (9, 1, False)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nevkit.errors import ToleranceNotReached
-from nevkit.quad import BISECT_STEPS, adaptive_simpson, bisect_sign_changes
+from nevkit.quad import (BISECT_STEPS, GOLDEN_STEPS, adaptive_simpson,
+                         bisect_sign_changes, golden_max)
 
 EPS = np.finfo(float).eps
 
@@ -113,6 +114,44 @@ def test_bisection_stops_once_brackets_collapse():
     want = _bisect_reference(f, lo, hi, flo)
     assert np.array_equal(got, want)
     assert len(calls) < BISECT_STEPS
+
+
+# -- golden_max ----------------------------------------------------------------
+
+def test_golden_max_probes_once_per_step():
+    lo = np.linspace(-1.0, 2.0, 7)
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.sin(3.0 * x)
+
+    golden_max(f, lo, lo + 0.5)
+    assert sum(points) == (4 + GOLDEN_STEPS) * lo.size
+    assert len(points) == 4 + GOLDEN_STEPS
+
+
+def test_golden_max_finds_a_smooth_peak():
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-3.0, 3.0, size=50)
+    lo = x0 - rng.uniform(0.01, 1.0, size=50)
+    hi = x0 + rng.uniform(0.01, 1.0, size=50)
+    got = golden_max(lambda x: 2.0 * np.cos(x - x0), lo, hi)
+    assert np.all(np.abs(got - 2.0) <= 4 * EPS * 2.0)
+
+
+def test_golden_max_is_at_least_both_endpoints():
+    # two peaks per bracket; the search may settle on either, but what it
+    # returns is the largest value seen, the endpoints included
+    def f(x):
+        return np.cos(2.0 * x) + 0.3 * x
+
+    lo = np.array([-0.5, -3.5, -2.0, 2.9])
+    hi = np.array([3.6, 0.5, 3.5, 6.5])
+    got = golden_max(f, lo, hi)
+    assert np.all(got >= f(lo)) and np.all(got >= f(hi))
+    dense = np.linspace(lo, hi, 200_001)
+    assert np.all(got <= f(dense).max(axis=0) + 1e-9)
 
 
 # -- the benchmark's tracer binds nevkit functions by name ---------------------
