@@ -29,6 +29,7 @@ _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singula
 # reuses a chunk's memory for the next, where 32,768 and more made numpy fault
 # in fresh pages chunk after chunk
 _OMEGA_CHUNK = 16_384
+_PROFILE_POINTS = 64  # widths in the geometric grid of modulus_of_continuity
 
 
 @dataclass(frozen=True)
@@ -289,14 +290,12 @@ def _stabilization(m: Integrator) -> float:
     return support[-1][1] - support[0][0] if support else 0.0
 
 
-def modulus_of_continuity(m: Integrator, R: float, grid_size: int = 64) -> ModulusProfile:
-    """Profile of omega on a geometric grid in (0, 4R]."""
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+def modulus_of_continuity(m: Integrator, R: float) -> ModulusProfile:
+    """Profile of omega on a geometric grid of _PROFILE_POINTS widths in (0, 4R]."""
     if not R > 0:
         raise ValueError("R must be positive")
     cap = 4.0 * R
-    grid = np.geomspace(cap * 1e-9, cap, grid_size)
+    grid = np.geomspace(cap * 1e-9, cap, _PROFILE_POINTS)
     return ModulusProfile(grid=grid, omega=omega_many(m, grid),
                           stab_diameter=_stabilization(m))
 
@@ -407,6 +406,12 @@ class LogSingularity:
             raise ValueError("singularity scale must be finite and > 0")
 
 
+def _on_jump(m: Integrator, x: float) -> bool:
+    """Whether m jumps at x, to 1e-12 relative."""
+    locs = m._jump_arrays[0]
+    return bool(np.any(np.abs(locs - x) <= 1e-12 * max(1.0, abs(x))))
+
+
 def _log_kernel_exact(m: Integrator, x: float, scale: float) -> float:
     """integral of ln(scale/|t - x|) dm(t), closed form on the mesh.
 
@@ -503,8 +508,7 @@ def stieltjes_integral(f, m: Integrator, tol: float = 1e-8,
     sing = tuple(singularities)
     locs, heights, _ = m._jump_arrays
     for s in sing:
-        if locs.size and np.any(np.abs(locs - s.location)
-                                <= 1e-12 * max(1.0, abs(s.location))):
+        if _on_jump(m, s.location):
             return math.inf if s.coefficient > 0 else -math.inf
 
     total = 0.0
@@ -536,24 +540,6 @@ def stieltjes_integral(f, m: Integrator, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 # the two-route log-kernel integral
 
-def _local_density(m: Integrator, x: float):
-    """(left slope, right slope, distance to the nearest other feature)."""
-    xs, _, rho = m._mesh
-    locs, _, _ = m._jump_arrays
-    feats = np.concatenate([xs, locs]) if locs.size else xs
-    gaps = np.abs(feats - x)
-    gaps = gaps[gaps > 1e-15 * max(1.0, abs(x))]
-    nearest = float(gaps.min())
-
-    def cell_rho(y: float) -> float:
-        if y <= xs[0] or y >= xs[-1]:
-            return 0.0
-        return float(rho[int(np.searchsorted(xs, y, side="right")) - 1])
-
-    probe = 0.5 * nearest
-    return cell_rho(x - probe), cell_rho(x + probe), nearest
-
-
 def log_kernel_integral(m: Integrator, x: float, r: float, R: float,
                         tol: float = 1e-6) -> float:
     """integral of ln(2R/|t - x|) dm(t) over [0, r], by two routes.
@@ -561,10 +547,12 @@ def log_kernel_integral(m: Integrator, x: float, r: float, R: float,
     The direct Stieltjes route is a closed form on the mesh; the returned
     value comes from the substitution route
 
-        integral over (0, 4R] of (m(x + t/2) - m(x - t/2)) / t dt,
+        integral over (0, 4R] of g(t) / t dt,  g(t) = m(x + t/2) - m(x - t/2),
 
-    and the two must agree within 4*tol when both are finite.  +inf exactly
-    when m jumps at x.
+    also in closed form: g is linear between the widths at which x +- t/2
+    meets a kink or a jump, so each cell (a, b) contributes
+    alpha ln(b/a) + beta (b - a).  The two routes must agree within 4*tol
+    when both are finite.  +inf exactly when m jumps at x.
     """
     if not (0.0 < r < R):
         raise ValueError("need 0 < r < R")
@@ -572,32 +560,27 @@ def log_kernel_integral(m: Integrator, x: float, r: float, R: float,
         raise ValueError(f"integrator domain end {m.end} does not match r={r}")
     if not (0.0 <= x <= R):
         raise ValueError("x must lie in [0, R]")
-    locs, _, _ = m._jump_arrays
-    if locs.size and np.any(np.abs(locs - x) <= 1e-12 * max(1.0, abs(x))):
+    if _on_jump(m, x):
         return math.inf
 
-    cap = 4.0 * R
     direct = _log_kernel_exact(m, x, 2.0 * R)
 
-    left, right, nearest = _local_density(m, x)
-    t0 = min(1.999 * nearest, cap * 1e-6)
-    if not (t0 > 0.0) or not math.isfinite(t0):
-        t0 = cap * 1e-9
-    closed = 0.5 * (left + right) * t0
+    xs, _, rho = m._mesh
+    locs, _, _ = m._jump_arrays
+    ts = np.unique(np.concatenate([[0.0, 4.0 * R], 2.0 * np.abs(xs - x),
+                                   2.0 * np.abs(locs - x)]))
+    half = 0.25 * (ts[:-1] + ts[1:])
+    density = np.append(rho, 0.0)  # index -1 (left of 0) and rho.size read 0
 
-    def g(ys):
-        t = np.exp(np.asarray(ys))
-        return eval_m_many(m, x + 0.5 * t) - eval_m_many(m, x - 0.5 * t)
+    def rho_at(y):
+        return density[np.searchsorted(xs, y, side="right") - 1]
 
-    # a jump away from x is a step of g; cutting the panels there keeps the
-    # quadrature clean on both sides (t0 < 2|loc - x| always, see nearest)
-    ya, yb = math.log(t0), math.log(cap)
-    steps = np.log(2.0 * np.abs(locs - x)) if locs.size else np.empty(0)
-    cuts = np.concatenate([[ya, yb], steps[(steps > ya) & (steps < yb)]])
+    beta = 0.5 * (rho_at(x + half) + rho_at(x - half))
+    alpha = eval_m_many(m, x + half) - eval_m_many(m, x - half) - 2.0 * beta * half
+    # g(0+) = 0 off the jumps, so the cell that starts at 0 has no log part
+    sub = float(beta @ np.diff(ts) + alpha[1:] @ np.diff(np.log(ts[1:])))
 
     scale = max(1.0, abs(direct))
-    floor = 12 if m.cantor is not None else 3
-    sub = closed + adaptive_simpson(g, cuts, 0.5 * tol * scale, min_depth=floor)
     if abs(sub - direct) > 4.0 * tol * scale:
         raise ToleranceNotReached(
             f"route disagreement {abs(sub - direct):.3e} at x={x}")

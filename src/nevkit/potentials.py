@@ -151,8 +151,9 @@ def _circle(model: DeltaSubharmonicModel, t: float):
     return f
 
 
-def _on_circle(radii: np.ndarray, t: float) -> np.ndarray:
-    return np.abs(radii - t) <= RADIUS_TOL * max(1.0, abs(t))
+def _on_circle(radii: np.ndarray, t) -> np.ndarray:
+    """Which radii lie on the circle of radius t (or of each radius, broadcast)."""
+    return np.abs(radii - t) <= RADIUS_TOL * np.maximum(1.0, np.abs(t))
 
 
 def circle_max(model: DeltaSubharmonicModel, t: float) -> float:
@@ -240,14 +241,9 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
         c = ctr[row, col]
         np.maximum.at(best, row, golden_max(f, c - spacing, c + spacing))
 
-    if model.atoms:
-        locs, masses, _, _ = model._atom_arrays
-        neg_radii = np.abs(locs[masses < 0])
-        if neg_radii.size:
-            coll = np.any(np.abs(tp[:, None] - neg_radii[None, :])
-                          <= RADIUS_TOL * np.maximum(1.0, tp)[:, None], axis=1)
-            best = np.where(coll, np.inf, best)
-    return best
+    _, masses, radii, _ = model._atom_arrays
+    coll = _on_circle(radii[masses < 0], tp[:, None]).any(axis=1)
+    return np.where(coll, np.inf, best)
 
 
 def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
@@ -263,8 +259,7 @@ def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
     c0 = model.harmonic.coefficients[0].real if model.harmonic.coefficients else 0.0
     if not model.atoms:
         return c0
-    locs, masses, _, _ = model._atom_arrays
-    radii = np.abs(locs)
+    _, masses, radii, _ = model._atom_arrays
     if _on_circle(radii, t).any():
         raise AtomOnCircle(t)
     return c0 + float(masses @ np.log(np.maximum(t, radii)))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import nevkit as nk
 from nevkit.bounds import random_case
@@ -26,6 +26,7 @@ from nevkit.integrators import (
     omega_log_kernel_pair,
     omega_many,
     stieltjes_integral,
+    _log_kernel_exact,
 )
 
 LN = math.log
@@ -304,8 +305,6 @@ def test_stabilization_oracles():
     assert modulus_of_continuity(jump_only, R=4.0).stab_diameter == 0.0
     stairs = modulus_of_continuity(CANTOR, R=4.0)
     assert stairs.stab_diameter == 1.0
-    with pytest.raises(ValueError):
-        modulus_of_continuity(lebesgue(1.0), R=4.0, grid_size=8)
 
 
 @given(st.integers(min_value=1, max_value=60), st.booleans())
@@ -438,13 +437,33 @@ def test_log_kernel_domain_checks():
         log_kernel_integral(lebesgue(2.0), x=-0.5, r=2.0, R=2.5)
 
 
-@given(st.integers(min_value=1, max_value=25))
-def test_log_kernel_routes_stay_consistent(seed):
-    # the function raises if the substitution route drifts from the mesh form
-    m = random_integrator(seed, with_jumps=False)
+@pytest.mark.parametrize("seed, with_jumps, x", [
+    (163, True, 1.524937498850474),  # pieces and a depth-8 staircase
+    (242, False, 3.285712401983117),  # pieces only
+    (365, False, 0.8340480053280852),  # pieces only
+])
+def test_log_kernel_substitution_is_exact(seed, with_jumps, x):
+    # inputs on which a quadrature of the substitution route missed the
+    # route check; the closed form on the breakpoints of g must not
+    m = random_integrator(seed, with_jumps=with_jumps)
     r = m.end
-    got = log_kernel_integral(m, x=0.5 * r, r=r, R=2.0 * r, tol=1e-6)
-    assert math.isfinite(got)
+    got = log_kernel_integral(m, x=x, r=r, R=2.0 * r)
+    want = _log_kernel_exact(m, x, 4.0 * r)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(st.integers(min_value=1, max_value=400), st.booleans(),
+       st.floats(min_value=0.0, max_value=2.0))
+# a subnormal x puts a breakpoint near 0 where the ratio b/a of a cell overflows
+@example(seed=1, with_jumps=False, u=2.225073858507e-311)
+def test_log_kernel_routes_stay_consistent(seed, with_jumps, u):
+    m = random_integrator(seed, with_jumps=with_jumps)
+    r = m.end
+    x = u * r
+    assume(not any(abs(j.location - x) <= 1e-9 * r for j in m.jumps))
+    got = log_kernel_integral(m, x=x, r=r, R=2.0 * r, tol=1e-6)
+    want = _log_kernel_exact(m, x, 4.0 * r)
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 # -- serialization --------------------------------------------------------------
