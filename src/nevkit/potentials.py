@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (AtomOnCircle, CoincidentOppositeAtoms, ParseError,
                      SharedZeroPole, json_object)
-from .quad import adaptive_simpson, bisect_sign_changes, golden_max
+from .quad import adaptive_simpson, bisect_sign_changes, zoom_max
 
 RADIUS_TOL = 1e-12  # relative distance at which an atom counts as on a circle
 CIRCLE_MAX_SAMPLES = 2048  # angular grid of the single-radius circle_max
@@ -171,13 +171,14 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.
     """Vectorized circle suprema over an array of radii.
 
     Grid scan over angles (including every atom angle and its antipode as
-    candidates) followed by golden-section polish of the brackets of half
-    width one grid spacing around the grid argmax and each atom angle and
-    antipode.  A bracket is polished only if it can beat the grid maximum:
-    its sup is at most its centre value plus ``_angular_lipschitz`` times
-    the spacing, so a pruned bracket's true sup is at most the grid maximum
-    up to the rounding of its centre value.  Work is chunked over radii to
-    keep the radius x angle x atom broadcasts within a fixed memory budget.
+    candidates) followed by a polish with ``quad.zoom_max`` of the brackets
+    of half width one grid spacing around the grid argmax and each atom angle
+    and antipode.  A bracket is polished only if it can beat the grid
+    maximum: its sup is at most its centre value plus ``_angular_lipschitz``
+    times the spacing, so a pruned bracket's true sup is at most the grid
+    maximum up to the rounding of its centre value.  Work is chunked over
+    radii to keep the radius x angle x atom broadcasts within a fixed memory
+    budget.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
@@ -235,11 +236,11 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
         t_live = tp[row]
 
         def f(theta):
-            v = evaluate_many(model, t_live * np.exp(1j * theta))
+            v = evaluate_many(model, t_live[:, None] * np.exp(1j * theta))
             return np.where(np.isnan(v), -np.inf, v)
 
         c = ctr[row, col]
-        np.maximum.at(best, row, golden_max(f, c - spacing, c + spacing))
+        np.maximum.at(best, row, zoom_max(f, c - spacing, c + spacing))
 
     _, masses, radii, _ = model._atom_arrays
     coll = _on_circle(radii[masses < 0], tp[:, None]).any(axis=1)

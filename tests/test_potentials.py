@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nevkit as nk
+from nevkit import potentials
 from nevkit.potentials import EMPTY_MODEL, canonical_split, circle_mean_max
+from nevkit.quad import golden_max
 
 from conftest import random_model
 
@@ -147,6 +149,20 @@ def test_circle_max_pruning_keeps_narrow_and_nan_brackets():
         atoms=(nk.RieszAtom(-0.0326458 + 0.6891057j, -0.56723),
                nk.RieszAtom(-0.1721716 + 0.6787657j, 1.07665)))
     _assert_dominates_dense_grid(near, np.array([0.70807]))
+
+
+def test_circle_max_zoom_is_no_worse_than_golden_polish(monkeypatch):
+    # the same brackets polished by golden-section search, as before the zoom
+    cases = [nk.random_case(case_id, seed=3) for case_id in range(1, 25)]
+    runs = [(case.model, np.linspace(0.0, case.window.outer, 18)[1:], samples)
+            for case in cases for samples in (512, 2048)]
+    new = [nk.circle_max_many(model, ts, samples) for model, ts, samples in runs]
+    monkeypatch.setattr(potentials, "zoom_max", lambda f, lo, hi: golden_max(
+        lambda x: f(x[:, None])[:, 0], lo, hi))
+    for got, (model, ts, samples) in zip(new, runs):
+        old = nk.circle_max_many(model, ts, samples)
+        ok = (got >= old - 1e-13 * np.maximum(1.0, np.abs(old))) | (got == old)
+        assert ok.all(), (ts[~ok], got[~ok], old[~ok])
 
 
 # -- circle means -------------------------------------------------------------

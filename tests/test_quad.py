@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from nevkit.errors import ToleranceNotReached
-from nevkit.quad import (BISECT_STEPS, GOLDEN_STEPS, adaptive_simpson,
-                         bisect_sign_changes, golden_max)
+from nevkit.quad import (BISECT_STEPS, GOLDEN_STEPS, ZOOM_POINTS, ZOOM_ROUNDS,
+                         adaptive_simpson, bisect_sign_changes, golden_max,
+                         zoom_max)
 
 EPS = np.finfo(float).eps
 
@@ -140,18 +141,56 @@ def test_golden_max_finds_a_smooth_peak():
     assert np.all(np.abs(got - 2.0) <= 4 * EPS * 2.0)
 
 
-def test_golden_max_is_at_least_both_endpoints():
-    # two peaks per bracket; the search may settle on either, but what it
-    # returns is the largest value seen, the endpoints included
-    def f(x):
-        return np.cos(2.0 * x) + 0.3 * x
+def two_peaks(x):
+    return np.cos(2.0 * x) + 0.3 * x
 
-    lo = np.array([-0.5, -3.5, -2.0, 2.9])
-    hi = np.array([3.6, 0.5, 3.5, 6.5])
-    got = golden_max(f, lo, hi)
-    assert np.all(got >= f(lo)) and np.all(got >= f(hi))
-    dense = np.linspace(lo, hi, 200_001)
-    assert np.all(got <= f(dense).max(axis=0) + 1e-9)
+
+# brackets that each hold two peaks of two_peaks
+TWO_PEAK_LO = np.array([-0.5, -3.5, -2.0, 2.9])
+TWO_PEAK_HI = np.array([3.6, 0.5, 3.5, 6.5])
+
+
+def test_golden_max_is_at_least_both_endpoints():
+    # the search may settle on either peak, but what it returns is the
+    # largest value seen, the endpoints included
+    got = golden_max(two_peaks, TWO_PEAK_LO, TWO_PEAK_HI)
+    assert np.all(got >= two_peaks(TWO_PEAK_LO)) and np.all(got >= two_peaks(TWO_PEAK_HI))
+    dense = np.linspace(TWO_PEAK_LO, TWO_PEAK_HI, 200_001)
+    assert np.all(got <= two_peaks(dense).max(axis=0) + 1e-9)
+
+
+# -- zoom_max ------------------------------------------------------------------
+
+def test_zoom_max_calls_once_per_round_on_the_whole_grid():
+    lo = np.linspace(-1.0, 2.0, 7)
+    shapes = []
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return np.sin(3.0 * x)
+
+    zoom_max(f, lo, lo + 0.5)
+    assert shapes == [(lo.size, ZOOM_POINTS)] * ZOOM_ROUNDS
+
+
+def test_zoom_max_finds_a_smooth_peak():
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-3.0, 3.0, size=50)
+    lo = x0 - rng.uniform(0.01, 1.0, size=50)
+    hi = x0 + rng.uniform(0.01, 1.0, size=50)
+    got = zoom_max(lambda x: 2.0 * np.cos(x - x0[:, None]), lo, hi)
+    assert np.all(np.abs(got - 2.0) <= 4 * EPS * 2.0)
+
+
+def test_zoom_max_sees_both_peaks_of_a_bracket():
+    # round 1 samples the whole bracket, so the zoom settles on the higher
+    # peak; golden-section search settles on the lower one of bracket 3
+    got = zoom_max(two_peaks, TWO_PEAK_LO, TWO_PEAK_HI)
+    assert np.all(got >= two_peaks(TWO_PEAK_LO)) and np.all(got >= two_peaks(TWO_PEAK_HI))
+    dense = two_peaks(np.linspace(TWO_PEAK_LO, TWO_PEAK_HI, 200_001)).max(axis=0)
+    assert np.all(got >= dense - 1e-12)
+    golden = golden_max(two_peaks, TWO_PEAK_LO, TWO_PEAK_HI)
+    assert dense[2] - golden[2] == pytest.approx(0.1498, abs=1e-4)
 
 
 # -- the benchmark's tracer binds nevkit functions by name ---------------------
