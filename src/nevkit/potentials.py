@@ -26,6 +26,8 @@ from .quad import adaptive_simpson, bisect_sign_changes, zoom_max
 RADIUS_TOL = 1e-12  # relative distance at which an atom counts as on a circle
 CIRCLE_MAX_SAMPLES = 2048  # angular grid of the single-radius circle_max
 CROSSING_SCAN = 4096  # angular grid that locates sign changes in circle_mean_max
+_SCAN_ANGLES = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
+_SCAN_ANGLES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -143,12 +145,6 @@ def evaluate_many(model: DeltaSubharmonicModel, z) -> np.ndarray:
 def evaluate(model: DeltaSubharmonicModel, z) -> float:
     """Value at a single point, with the +-inf convention at atoms."""
     return float(evaluate_many(model, np.asarray(complex(z))))
-
-
-def _circle(model: DeltaSubharmonicModel, t: float):
-    def f(theta):
-        return evaluate_many(model, t * np.exp(1j * np.asarray(theta)))
-    return f
 
 
 def _on_circle(radii: np.ndarray, t) -> np.ndarray:
@@ -270,10 +266,20 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
                     t: float, tol: float = 1e-8) -> float:
     """Mean of the pointwise max of two models over the circle |z| = t.
 
-    Sign changes of the difference are located by sampling plus bisection;
+    Sign changes of g = U_a - U_b are located by sampling plus bisection;
     the upper envelope is then integrated adaptively in one call, over the
     turn that starts at the first sign change, cut at every sign change and
     atom angle.  Absolute error <= tol, else ToleranceNotReached.
+
+    Where the scan shows no sign change, a Lipschitz bound may rule one out:
+    with L = ``_angular_lipschitz`` of both models, a scan cell [x, y]
+    (wrapping round the turn) with |g(x)| + |g(y)| > L (y - x) holds no zero
+    of g.  If every cell passes, one model dominates the whole circle and
+    the mean is its ``circle_mean`` in closed form (Jensen).  The test has
+    no rounding margin: if the rounding error d of the computed g hides a
+    zero in a passing cell, g crosses 0 there by at most about d, so the
+    closed form is off by at most about d, an error the quadrature's
+    values carry too.
     """
     t = float(t)
     if t <= 0.0:
@@ -283,24 +289,38 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
             if _on_circle(m.atom_radii, t).any():
                 raise AtomOnCircle(t)
 
-    fa = _circle(model_a, t)
-    fb = _circle(model_b, t)
+    # one z per batch of angles; an empty model_b (circle_mean_plus) is 0.0,
+    # bit for bit what evaluate_many would return for it
+    b_empty = not (model_b.atoms or model_b.harmonic.coefficients)
+
+    def pair(theta):
+        z = t * np.exp(1j * theta)
+        return evaluate_many(model_a, z), 0.0 if b_empty else evaluate_many(model_b, z)
+
+    def g(theta):
+        u_a, u_b = pair(theta)
+        return u_a - u_b
+
+    def envelope(theta):
+        return np.maximum(*pair(theta))
 
     # the crossing scan runs on a denser grid than the quadrature would need:
     # a sign change missed inside one cell puts a kink into a panel, where the
     # Richardson acceptance test underestimates the true panel error
     features = np.unique(np.concatenate([model_a._atom_arrays[3], model_b._atom_arrays[3]]))
-    base = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
-    nodes = np.unique(np.concatenate([base, features]))
-    diff = fa(nodes) - fb(nodes)
-
-    def g(theta):
-        return fa(theta) - fb(theta)
+    nodes = np.unique(np.concatenate([_SCAN_ANGLES, features]))
+    diff = g(nodes)
 
     sign = np.where(diff >= 0.0, 1.0, -1.0)
     wrap_nodes = np.append(nodes, nodes[0] + 2.0 * np.pi)
     wrap_sign = np.append(sign, sign[0])
     flip = wrap_sign[:-1] * wrap_sign[1:] < 0
+    if not flip.any():
+        tp = np.array([t])
+        lip = _angular_lipschitz(model_a, tp)[0] + _angular_lipschitz(model_b, tp)[0]
+        reach = np.abs(diff) + np.abs(np.append(diff[1:], diff[0]))
+        if (reach > lip * np.diff(wrap_nodes)).all():
+            return circle_mean(model_a if sign[0] > 0 else model_b, t)
     crossings = bisect_sign_changes(g, wrap_nodes[:-1][flip], wrap_nodes[1:][flip],
                                     sign[flip])
 
@@ -310,9 +330,6 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
     c0 = float(crossings.min()) if crossings.size else 0.0
     cuts = np.concatenate([[c0, c0 + 2.0 * np.pi], crossings,
                            np.where(features < c0, features + 2.0 * np.pi, features)])
-
-    def envelope(theta):
-        return np.maximum(fa(theta), fb(theta))
 
     # pi * tol on the integral over 2*pi leaves the mean half of tol
     return adaptive_simpson(envelope, cuts, np.pi * tol, min_depth=2) / (2.0 * np.pi)

@@ -213,6 +213,56 @@ def test_circle_mean_max_identical_models(pole_model):
     assert got == pytest.approx(LN(5.0 / 4.0), abs=1e-8)
 
 
+def _count_quadratures(monkeypatch):
+    calls = []
+    integrate = potentials.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(potentials, "adaptive_simpson", counted)
+    return calls
+
+
+def test_circle_mean_plus_is_the_closed_form_without_crossings(monkeypatch):
+    # U > 0 on the whole circle: the quadrature used to land 2.8e-8 below C_U
+    calls = _count_quadratures(monkeypatch)
+    model = nk.random_case(93, seed=11).model
+    for tol in (1e-8, 1e-6):
+        assert nk.circle_mean_plus(model, 5.9556, tol=tol) == nk.circle_mean(model, 5.9556)
+    # it used to land 1.8e-10 below max(C_U, 0) at tol 1e-10
+    model = nk.random_case(165, seed=3).model
+    t = 3.6544386696810345
+    got = nk.circle_mean_plus(model, t, tol=1e-10)
+    assert got >= max(nk.circle_mean(model, t), 0.0) - 1e-10
+    assert not calls
+
+
+def test_circle_mean_certificate_declines_where_the_difference_vanishes(
+        monkeypatch, pole_model):
+    calls = _count_quadratures(monkeypatch)
+    got = circle_mean_max(pole_model, pole_model, 4.0, tol=1e-9)
+    assert got == pytest.approx(LN(5.0 / 4.0), abs=1e-8)
+    assert len(calls) == 1
+    # U = 1 + Re z is 0 at the scan node pi of the unit circle and > 0 elsewhere
+    touching = nk.DeltaSubharmonicModel(harmonic=nk.HarmonicPart((1.0, 1.0)))
+    got = nk.circle_mean_plus(touching, 1.0, tol=1e-9)
+    assert got == pytest.approx(1.0, abs=1e-9)
+    assert len(calls) == 2
+
+
+def test_circle_mean_plus_matches_the_two_model_route():
+    # a zero constant makes model_b non-empty, so both models are evaluated
+    zero = nk.DeltaSubharmonicModel(harmonic=nk.HarmonicPart((0.0,)))
+    for seed in (3, 11, 27):
+        model = random_model(seed)
+        for t in (0.7, 2.427, 4.9):
+            if np.any(np.abs(model.atom_radii - t) < 1e-6):
+                continue
+            assert nk.circle_mean_plus(model, t) == circle_mean_max(model, zero, t)
+
+
 # -- canonical split / negation ----------------------------------------------
 
 def test_canonical_split_signs():
