@@ -289,13 +289,9 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
             if _on_circle(m.atom_radii, t).any():
                 raise AtomOnCircle(t)
 
-    # one z per batch of angles; an empty model_b (circle_mean_plus) is 0.0,
-    # bit for bit what evaluate_many would return for it
-    b_empty = not (model_b.atoms or model_b.harmonic.coefficients)
-
-    def pair(theta):
+    def pair(theta):  # one z per batch of angles
         z = t * np.exp(1j * theta)
-        return evaluate_many(model_a, z), 0.0 if b_empty else evaluate_many(model_b, z)
+        return evaluate_many(model_a, z), evaluate_many(model_b, z)
 
     def g(theta):
         u_a, u_b = pair(theta)

@@ -7,8 +7,6 @@ times with scalars.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import ToleranceNotReached
@@ -18,7 +16,7 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 MAX_DEPTH = 50  # halvings of a cut interval after which panels are accepted as they are
 MAX_PANELS = 200_000  # panels one adaptive_simpson call may create
 BISECT_STEPS = 70  # cap on halvings; float brackets collapse well before it
-BISECT_LEVELS = 6  # halvings per call of f in bisect_sign_changes
+BISECT_LEVELS = 6  # bisect_sign_changes cuts brackets into 2**6 pieces per call of f
 GOLDEN_STEPS = 40  # golden-section steps: the bracket shrinks by 0.618**40
 ZOOM_POINTS = 17  # points per bracket per zoom round; each round is 8x narrower
 ZOOM_ROUNDS = 10  # zoom rounds: the last grid step is the half width / 8**10
@@ -104,65 +102,35 @@ def adaptive_simpson(f, cuts, tol: float, *, min_depth: int = 0) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
-def _halving_paths(levels: int):
-    """The ways down ``levels`` halvings of the grid 0..2**levels, one
-    column per final bracket [j, j + 1]: per level, the grid index of the
-    lower end and of the midpoint of the bracket on the way to it, and
-    whether the way goes on to the upper half; each (levels, 2**levels)."""
-    j = np.arange(2 ** levels)
-    shift = levels - np.arange(levels)[:, None]
-    lower = (j >> shift) << shift
-    half = 1 << (shift - 1)
-    paths = lower, lower + half, (j & half) != 0
-    for arr in paths:
-        arr.flags.writeable = False
-    return paths
-
-
 def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray,
                         flo: np.ndarray) -> np.ndarray:
-    """Vectorized bisection; each (lo[i], hi[i]) must bracket a sign change.
+    """Vectorized bracket search; each (lo[i], hi[i]) must bracket a sign change.
 
-    Stops when no bracket has a float strictly inside it any more, or after
-    BISECT_STEPS halvings.  One call of ``f`` covers BISECT_LEVELS halvings:
-    it gets the (brackets, 2**BISECT_LEVELS - 1) array of every midpoint
-    those halvings could reach, each computed as ``0.5 * (lo + hi)`` of its
-    bracket, and the halvings are then replayed on the values.  For a
-    pointwise ``f`` the result is bit for bit that of one call per halving.
+    One call of ``f`` cuts every bracket into 2**BISECT_LEVELS equal pieces:
+    it gets the (brackets, 2**BISECT_LEVELS - 1) array of the inner points,
+    and each bracket keeps the first piece whose upper end has not the sign
+    of ``flo``, so every call counts as BISECT_LEVELS halvings.  Brackets
+    with no float strictly inside stay as they are; the search stops when no
+    bracket has one, or after BISECT_STEPS halvings.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     sign_lo = np.sign(flo)[:, None]
-    rows = np.arange(lo.size)[:, None]
+    rows = np.arange(lo.size)
     steps = 0
     while steps < BISECT_STEPS:
         mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
             break
         levels = min(BISECT_LEVELS, BISECT_STEPS - steps)
-        span = 2 ** levels
-        # each row is the grid lo = x[0] <= ... <= x[span] = hi of one
-        # bracket; a bracket [x[a], x[a + 2s]] of the halvings has its
-        # midpoint at x[a + s]
-        x = np.empty((lo.size, span + 1))
-        x[:, 0], x[:, span // 2], x[:, span] = lo, mid, hi
-        s = span // 4
-        while s:
-            x[:, s::2 * s] = 0.5 * (x[:, :span:2 * s] + x[:, 2 * s::2 * s])
-            s //= 2
-        same = np.empty(x.shape, dtype=bool)
-        same[:, 1:span] = np.sign(f(x[:, 1:span])) == sign_lo
-        # a halving goes up where the midpoint has the sign of lo; the way
-        # that agrees with every such choice is the one the halvings take
-        lower, middle, up = _halving_paths(levels)
-        leaf = (np.take(same, middle, axis=1) == up).all(axis=1).argmax(axis=1)
-        a, m = lower[:, leaf].T, middle[:, leaf].T
-        xa, xm, xb = x[rows, a], x[rows, m], x[rows, 2 * m - a]
-        live = ((xa < xm) & (xm < xb)).any(axis=0)
-        if not live.all():
-            return xm[:, np.argmin(live)]  # 0.5 * (lo + hi) where they stop
-        lo, hi = x[rows[:, 0], leaf], x[rows[:, 0], leaf + 1]
+        frac = np.arange(1, 2 ** levels) / 2 ** levels
+        x = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * frac, hi])
+        same = np.sign(f(x[:, 1:-1])) == sign_lo
+        # j inner points keep the sign of lo before the first that does not
+        j = np.logical_and.accumulate(same, axis=1).sum(axis=1)
+        lo = np.where(live, x[rows, j], lo)
+        hi = np.where(live, x[rows, j + 1], hi)
         steps += levels
     return 0.5 * (lo + hi)
 

@@ -252,17 +252,6 @@ def test_circle_mean_certificate_declines_where_the_difference_vanishes(
     assert len(calls) == 2
 
 
-def test_circle_mean_plus_matches_the_two_model_route():
-    # a zero constant makes model_b non-empty, so both models are evaluated
-    zero = nk.DeltaSubharmonicModel(harmonic=nk.HarmonicPart((0.0,)))
-    for seed in (3, 11, 27):
-        model = random_model(seed)
-        for t in (0.7, 2.427, 4.9):
-            if np.any(np.abs(model.atom_radii - t) < 1e-6):
-                continue
-            assert nk.circle_mean_plus(model, t) == circle_mean_max(model, zero, t)
-
-
 # -- canonical split / negation ----------------------------------------------
 
 def test_canonical_split_signs():
