@@ -21,7 +21,7 @@ from .integrators import (CantorPart, Integrator, Jump, LogSingularity, Piece,
                           _log_pair_detailed, lebesgue, stieltjes_integral)
 from .potentials import (DeltaSubharmonicModel, HarmonicPart, RadialWindow,
                          RieszAtom, circle_max_many, circle_mean_plus,
-                         evaluate, from_rational)
+                         evaluate, from_rational, same_radius)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class VerificationCase:
 
     def __post_init__(self):
         r = self.window.inner
-        if abs(self.integrator.end - r) > 1e-12 * max(1.0, r):
+        if not same_radius(self.integrator.end, r):
             raise ValueError(
                 f"integrator ends at {self.integrator.end}, window starts at {r}")
 
@@ -67,7 +67,7 @@ def log_singularity_profile(model: DeltaSubharmonicModel, upto: float,
 
     At a radius carrying negative atoms the circle maximum grows like
     c * ln(scale/|t - radius|) where c is the largest mass stacked at a single
-    location on that radius; radii within relative 1e-12 are merged.
+    location on that radius; radii that ``same_radius`` matches are merged.
     """
     per_loc: dict[complex, float] = {}
     for a in model.atoms:
@@ -78,7 +78,7 @@ def log_singularity_profile(model: DeltaSubharmonicModel, upto: float,
     pairs = sorted((abs(loc), c) for loc, c in per_loc.items())
     out: list[LogSingularity] = []
     for rho, coeff in pairs:
-        if out and abs(rho - out[-1].location) <= 1e-12 * max(1.0, rho):
+        if out and same_radius(out[-1].location, rho):
             if coeff > out[-1].coefficient:
                 out[-1] = LogSingularity(out[-1].location, coeff, scale)
         else:
@@ -86,14 +86,10 @@ def log_singularity_profile(model: DeltaSubharmonicModel, upto: float,
     return tuple(out)
 
 
-ENVELOPE_SAMPLES = 512  # angular grid of the circle maxima on the left side
-
-
 def max_plus_sampler(model: DeltaSubharmonicModel):
     """Vectorized t -> max(circle maximum at t, 0)."""
     def f(ts):
-        return np.maximum(circle_max_many(model, np.asarray(ts, dtype=float),
-                                          samples=ENVELOPE_SAMPLES), 0.0)
+        return np.maximum(circle_max_many(model, np.asarray(ts, dtype=float)), 0.0)
     return f
 
 
@@ -101,8 +97,9 @@ def growth_bound_lhs(case: VerificationCase) -> float:
     """integral of the clipped circle maximum against the integrator."""
     sing = log_singularity_profile(case.model, upto=case.window.outer,
                                    scale=2.0 * case.window.outer)
-    # the quadrature budget must sit above the envelope sampler's noise floor
-    # (~1e-8), and the verdict slack is rhs-relative, so case.tol is enough
+    # the sampled circle maxima are polished to about 1e-12 relative, far
+    # below case.tol, and the verdict slack is rhs-relative, so case.tol is
+    # the whole quadrature budget
     return stieltjes_integral(max_plus_sampler(case.model), case.integrator,
                               tol=case.tol, singularities=sing)
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeMassInView, PoleOnCircle
-from .potentials import (RADIUS_TOL, DeltaSubharmonicModel, RadialWindow,
-                         canonical_split, circle_mean, circle_mean_max,
-                         circle_mean_plus, from_rational)
+from .potentials import (DeltaSubharmonicModel, RadialWindow, canonical_split,
+                         circle_mean, circle_mean_max, circle_mean_plus,
+                         from_rational, same_radius)
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def classical_characteristic(zeros=(), poles=(), scale: float = 1.0,
     if not r > 0:
         raise ValueError("radius must be positive")
     for loc, _ in poles:
-        if abs(abs(complex(loc)) - r) <= RADIUS_TOL * max(1.0, r):
+        if same_radius(abs(complex(loc)), r):
             raise PoleOnCircle(f"pole at {loc} sits on the circle of radius {r}")
     model = from_rational(zeros=zeros, poles=poles, scale=scale)
     proximity = circle_mean_plus(model, r, tol=tol)

@@ -58,14 +58,23 @@ class RunConfig:
             return flag
         return self.data.get(key, default)
 
+    def convert(self, args, key, kind, default=None):
+        """``get`` passed through ``kind``; a value that ``kind`` rejects is
+        a ParseError naming the key.  An absent key with no default is None."""
+        value = self.get(args, key, default)
+        if value is None and key not in self.data:
+            return None
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ParseError(f"bad value for {key!r}: {value!r}") from None
 
-def _parse_floats(text, what: str):
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise ParseError(f"could not parse {what}: {text!r}") from None
+
+def _floats(value) -> list:
+    """Floats from a JSON list or a comma-separated string."""
+    if isinstance(value, (list, tuple)):
+        return [float(v) for v in value]
+    return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _fmt(v) -> str:
@@ -130,10 +139,10 @@ CHARACTERISTICS_COLUMNS = ("quantity", "r", "R", "value", "route", "tolerance")
 
 def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
     model = _load_model(cfg, args)
-    radii = sorted(set(_parse_floats(cfg.get(args, "radii", "1.0"), "radii")))
+    radii = sorted(set(cfg.convert(args, "radii", _floats, "1.0")))
     if any(t <= 0 for t in radii):
         raise ParseError("radii must be positive")
-    tol = float(cfg.get(args, "tol", 1e-6))
+    tol = cfg.convert(args, "tol", float, 1e-6)
     neg = ChargeView.negative_part(model)
 
     rows = []
@@ -161,9 +170,9 @@ VERIFY_COLUMNS = ("case_id", "seed", "lhs", "rhs", "ratio", "verdict",
 
 
 def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
-    n = int(cfg.get(args, "cases", 25))
-    seed = int(cfg.get(args, "seed", 1))
-    tol = float(cfg.get(args, "tol", 1e-6))
+    n = cfg.convert(args, "cases", int, 25)
+    seed = cfg.convert(args, "seed", int, 1)
+    tol = cfg.convert(args, "tol", float, 1e-6)
     reports = verify_suite(generate_cases(n, seed=seed, tol=tol))
     rows = [(rep.case_id, rep.seed, rep.lhs, rep.rhs, rep.ratio, rep.verdict,
              *(rep.components[k] for k in VERIFY_COLUMNS[6:-1]), rep.certificate)
@@ -174,8 +183,7 @@ def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
 
 
 def run_counterexample(args, cfg: RunConfig) -> tuple[str, bool]:
-    spec = cfg.get(args, "epsilons")
-    eps = _parse_floats(spec, "epsilons") if spec is not None else None
+    eps = cfg.convert(args, "epsilons", _floats)
     rows = counterexample_scan(tuple(eps)) if eps else counterexample_scan()
     table = _table(("epsilon", "lhs", "dini"),
                    ((row.epsilon, row.lhs, row.dini) for row in rows))
@@ -209,20 +217,20 @@ CLASSICAL_COLUMNS = ("index", "r", "R", "lhs", "rhs", "ratio", "bridge", "verdic
 
 
 def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
-    tol = float(cfg.get(args, "tol", 1e-6))
+    tol = cfg.convert(args, "tol", float, 1e-6)
     results = []
-    suite = cfg.get(args, "suite")
+    suite = cfg.convert(args, "suite", int)
     if suite:
-        seed = int(cfg.get(args, "seed", 1))
-        for index, _, res in classical_suite(int(suite), seed=seed, tol=tol):
+        seed = cfg.convert(args, "seed", int, 1)
+        for index, _, res in classical_suite(suite, seed=seed, tol=tol):
             results.append((index, res))
     else:
         path = cfg.get(args, "rational")
         if not path:
             raise ParseError("need --rational PATH or --suite N")
         zeros, poles, scale = _load_rational(path)
-        r = float(cfg.get(args, "r", 1.0))
-        k = float(cfg.get(args, "k", 2.0))
+        r = cfg.convert(args, "r", float, 1.0)
+        k = cfg.convert(args, "k", float, 2.0)
         results.append((1, classical_shape_check(zeros, poles, scale, r, k, tol=tol)))
     rows = [(index, *(res[k] for k in CLASSICAL_COLUMNS[1:])) for index, res in results]
     passed = sum(1 for _, res in results if res["verdict"] == "pass")

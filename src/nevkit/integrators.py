@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParseError, ToleranceNotReached, json_object
+from .potentials import same_radius
 from .quad import adaptive_simpson
 
 _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
@@ -407,9 +408,8 @@ class LogSingularity:
 
 
 def _on_jump(m: Integrator, x: float) -> bool:
-    """Whether m jumps at x, to 1e-12 relative."""
-    locs = m._jump_arrays[0]
-    return bool(np.any(np.abs(locs - x) <= 1e-12 * max(1.0, abs(x))))
+    """Whether m jumps at x, by ``same_radius``."""
+    return bool(same_radius(m._jump_arrays[0], x).any())
 
 
 def _log_kernel_exact(m: Integrator, x: float, scale: float) -> float:
@@ -556,7 +556,7 @@ def log_kernel_integral(m: Integrator, x: float, r: float, R: float,
     """
     if not (0.0 < r < R):
         raise ValueError("need 0 < r < R")
-    if abs(m.end - r) > 1e-12 * max(1.0, r):
+    if not same_radius(m.end, r):
         raise ValueError(f"integrator domain end {m.end} does not match r={r}")
     if not (0.0 <= x <= R):
         raise ValueError("x must lie in [0, R]")

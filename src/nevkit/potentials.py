@@ -23,11 +23,12 @@ from .errors import (AtomOnCircle, CoincidentOppositeAtoms, ParseError,
                      SharedZeroPole, json_object)
 from .quad import adaptive_simpson, bisect_sign_changes, zoom_max
 
-RADIUS_TOL = 1e-12  # relative distance at which an atom counts as on a circle
-CIRCLE_MAX_SAMPLES = 2048  # angular grid of the single-radius circle_max
+RADIUS_TOL = 1e-12  # relative distance at which same_radius counts two radii as one
+CIRCLE_MAX_SAMPLES = 512  # angular grid of every circle maximum
 CROSSING_SCAN = 4096  # angular grid that locates sign changes in circle_mean_max
+_MAX_ANGLES = np.linspace(0.0, 2.0 * np.pi, CIRCLE_MAX_SAMPLES, endpoint=False)
 _SCAN_ANGLES = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
-_SCAN_ANGLES.flags.writeable = False
+_MAX_ANGLES.flags.writeable = _SCAN_ANGLES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,10 @@ def evaluate(model: DeltaSubharmonicModel, z) -> float:
     return float(evaluate_many(model, np.asarray(complex(z))))
 
 
-def _on_circle(radii: np.ndarray, t) -> np.ndarray:
-    """Which radii lie on the circle of radius t (or of each radius, broadcast)."""
+def same_radius(radii, t):
+    """Which radii lie on the circle of radius t (or of each radius,
+    broadcast), to RADIUS_TOL relative: the package's one same-radius rule,
+    for atoms on circles, jumps at points and matching domain ends."""
     return np.abs(radii - t) <= RADIUS_TOL * np.maximum(1.0, np.abs(t))
 
 
@@ -159,22 +162,21 @@ def circle_max(model: DeltaSubharmonicModel, t: float) -> float:
     positive-mass atom on a circle of positive radius leaves the supremum
     finite; at t = 0 the circle degenerates to the point 0.
     """
-    return float(circle_max_many(model, np.array([float(t)]),
-                                 samples=CIRCLE_MAX_SAMPLES)[0])
+    return float(circle_max_many(model, np.array([float(t)]))[0])
 
 
-def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.ndarray:
+def circle_max_many(model: DeltaSubharmonicModel, ts) -> np.ndarray:
     """Vectorized circle suprema over an array of radii.
 
-    Grid scan over angles (including every atom angle and its antipode as
-    candidates) followed by a polish with ``quad.zoom_max`` of the brackets
-    of half width one grid spacing around the grid argmax and each atom angle
-    and antipode.  A bracket is polished only if it can beat the grid
-    maximum: its sup is at most its centre value plus ``_angular_lipschitz``
-    times the spacing, so a pruned bracket's true sup is at most the grid
-    maximum up to the rounding of its centre value.  Work is chunked over
-    radii to keep the radius x angle x atom broadcasts within a fixed memory
-    budget.
+    Each circle is sampled once, on a ring: the sorted union of the
+    CIRCLE_MAX_SAMPLES-angle grid and every atom angle and its antipode.
+    Every local maximum of the ring (ties count) is polished with
+    ``quad.zoom_max`` over its two adjacent cells, unless it cannot beat the
+    ring maximum: the sup over those cells is at most the local maximum plus
+    ``_angular_lipschitz`` times the wider cell, so a skipped one's true sup
+    is at most the ring maximum up to the rounding of its value.  Work is
+    chunked over radii to keep the radius x angle x atom broadcasts within a
+    fixed memory budget.
     """
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
@@ -185,49 +187,45 @@ def circle_max_many(model: DeltaSubharmonicModel, ts, samples: int = 512) -> np.
     if flat_idx.size == 0:
         return out
     natoms = max(1, len(model.atoms))
-    chunk = max(16, 4_000_000 // ((samples + 2 * natoms) * natoms))
+    chunk = max(16, 4_000_000 // ((CIRCLE_MAX_SAMPLES + 2 * natoms) * natoms))
     tpos = ts.reshape(-1)[flat_idx]
     res = np.empty(flat_idx.size)
     for k in range(0, flat_idx.size, chunk):
-        res[k:k + chunk] = _circle_max_chunk(model, tpos[k:k + chunk], samples)
+        res[k:k + chunk] = _circle_max_chunk(model, tpos[k:k + chunk])
     out.reshape(-1)[flat_idx] = res
     return out
 
 
 def _angular_lipschitz(model: DeltaSubharmonicModel, tp: np.ndarray) -> np.ndarray:
     """Bound on |dU/dtheta| over the circle of each radius t in ``tp``:
-    t * (sum_k k |c_k| t**(k-1) + sum_j |m_j| / |t - |a_j||), since
-    |z - a_j| >= |t - |a_j||; +inf where an atom lies on the circle."""
+    sum_k k |c_k| t**k + sum_j |m_j| t rho_j / |(t - rho_j)(t + rho_j)|, each
+    atom's term the exact max of its own; +inf where an atom is on the circle."""
     slope = np.zeros(tp.shape)
     for k, c in enumerate(model.harmonic.coefficients[1:], start=1):
         slope += k * abs(c) * tp ** (k - 1)
     if model.atoms:
         _, masses, radii, _ = model._atom_arrays
+        t = tp[:, None]
         with np.errstate(divide="ignore"):
-            slope += (np.abs(masses) / np.abs(tp[:, None] - radii)).sum(axis=1)
+            slope += (np.abs(masses) * radii / np.abs((t - radii) * (t + radii))).sum(axis=1)
     return tp * slope
 
 
-def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
-                      samples: int) -> np.ndarray:
-    base = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    angles = model._atom_arrays[3]
-    cand = np.concatenate([base, angles])
-    z = tp[:, None] * np.exp(1j * cand)[None, :]
-    vals = evaluate_many(model, z)
+def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray) -> np.ndarray:
+    ring = np.unique(np.concatenate([_MAX_ANGLES, model._atom_arrays[3]]))
+    vals = evaluate_many(model, tp[:, None] * np.exp(1j * ring))
     vals = np.where(np.isnan(vals), -np.inf, vals)
     best = np.max(vals, axis=1)
 
-    # brackets around the grid argmax and around each atom angle, kept where
-    # centre value + L * spacing may exceed best; a nan reach (-inf + inf,
-    # a positive atom on the circle) stays live
-    spacing = 2.0 * np.pi / samples
-    ctr = np.column_stack([cand[np.argmax(vals, axis=1)],
-                           np.broadcast_to(angles, (tp.size, angles.size))])
-    at_ctr = np.column_stack([best, vals[:, samples:]])
+    # polish each local maximum over its two adjacent cells where its value
+    # + L * the wider cell may exceed best; a nan reach (-inf + inf, a
+    # positive atom on the circle) stays live
+    after = np.diff(ring, append=ring[0] + 2.0 * np.pi)  # cell i is [ring[i], ring[i+1]]
+    before = np.roll(after, 1)
+    peak = (vals >= np.roll(vals, 1, axis=1)) & (vals >= np.roll(vals, -1, axis=1))
     with np.errstate(invalid="ignore"):
-        reach = at_ctr + _angular_lipschitz(model, tp)[:, None] * spacing
-    row, col = np.nonzero(~(reach <= best[:, None]))
+        reach = vals + _angular_lipschitz(model, tp)[:, None] * np.maximum(before, after)
+    row, col = np.nonzero(peak & ~(reach <= best[:, None]))
     if row.size:
         t_live = tp[row]
 
@@ -235,11 +233,11 @@ def _circle_max_chunk(model: DeltaSubharmonicModel, tp: np.ndarray,
             v = evaluate_many(model, t_live[:, None] * np.exp(1j * theta))
             return np.where(np.isnan(v), -np.inf, v)
 
-        c = ctr[row, col]
-        np.maximum.at(best, row, zoom_max(f, c - spacing, c + spacing))
+        c = ring[col]
+        np.maximum.at(best, row, zoom_max(f, c - before[col], c + after[col]))
 
     _, masses, radii, _ = model._atom_arrays
-    coll = _on_circle(radii[masses < 0], tp[:, None]).any(axis=1)
+    coll = same_radius(radii[masses < 0], tp[:, None]).any(axis=1)
     return np.where(coll, np.inf, best)
 
 
@@ -257,7 +255,7 @@ def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
     if not model.atoms:
         return c0
     _, masses, radii, _ = model._atom_arrays
-    if _on_circle(radii, t).any():
+    if same_radius(radii, t).any():
         raise AtomOnCircle(t)
     return c0 + float(masses @ np.log(np.maximum(t, radii)))
 
@@ -286,7 +284,7 @@ def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicMod
         raise ValueError("circle_mean_max needs t > 0")
     for m in (model_a, model_b):
         if m.atoms:
-            if _on_circle(m.atom_radii, t).any():
+            if same_radius(m.atom_radii, t).any():
                 raise AtomOnCircle(t)
 
     def pair(theta):  # one z per batch of angles

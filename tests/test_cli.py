@@ -222,6 +222,20 @@ def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, comma
             assert "line 1" in err[0]
 
 
+@pytest.mark.parametrize("command,doc,key", [
+    (["verify"], {"cases": None}, "cases"),
+    (["characteristics"], {"radii": [1.0, None],
+                           "model": {"atoms": [], "harmonic": [[1.0, 0.0]]}}, "radii"),
+    (["classical", "--suite", "1"], {"tol": [1]}, "tol"),
+])
+def test_wrongly_typed_config_value_is_a_parse_error(tmp_path, capsys, command, doc, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([*command, "--config", str(cfg)]) == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("nevkit:") and repr(key) in err[0]
+
+
 # -- process-level entry -------------------------------------------------------------
 
 def run_python(*args):

@@ -151,16 +151,63 @@ def test_circle_max_pruning_keeps_narrow_and_nan_brackets():
     _assert_dominates_dense_grid(near, np.array([0.70807]))
 
 
+def test_circle_max_finds_peaks_off_the_grid_argmax_and_atom_angles():
+    # each peak is neither the 512-angle grid argmax nor within one grid
+    # spacing of an atom angle or antipode; a local maximum of the ring
+    # brackets it (the old search returned 0.7762039 and 3.1620575)
+    two = nk.DeltaSubharmonicModel(
+        atoms=(nk.RieszAtom(-1.5255139293465825 + 0.4462221028486477j, -0.865380018791436),
+               nk.RieszAtom(-0.9013339566274351 + 2.0618774660951877j, -1.580355959940917)))
+    _assert_dominates_dense_grid(two, np.array([1.7379626542180726]))
+    _assert_dominates_dense_grid(nk.random_case(85, seed=2).model,
+                                 np.array([2.6123658955706115]))
+
+
+def _count_zoom_brackets(monkeypatch):
+    brackets = []
+    zoom = potentials.zoom_max
+
+    def counted(f, lo, hi):
+        brackets.append(np.size(lo))
+        return zoom(f, lo, hi)
+
+    monkeypatch.setattr(potentials, "zoom_max", counted)
+    return brackets
+
+
+def test_circle_max_polishes_nothing_on_a_symmetric_circle(monkeypatch):
+    # ln|3/z| is constant on every circle, so every ring node is a local
+    # maximum up to rounding; the exact angular bound is 0 and prunes them all
+    brackets = _count_zoom_brackets(monkeypatch)
+    model = nk.from_rational(poles=((0.0, 1),), scale=3.0)
+    ts = np.linspace(0.0, 4.0, 258)[1:]
+    got = nk.circle_max_many(model, ts)
+    assert not brackets
+    exact = LN(3.0) - np.log(ts)
+    assert (np.abs(got - exact) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(exact))).all()
+
+
+@pytest.mark.parametrize("atom", [(1.3 + 0.4j, -0.7), (0.2j, 2.0), (-2.9 - 0.1j, 1.3)])
+def test_angular_lipschitz_is_the_exact_max_slope_for_one_atom(atom):
+    model = nk.DeltaSubharmonicModel(atoms=(nk.RieszAtom(*atom),))
+    theta = np.linspace(0.0, 2.0 * np.pi, 2**20, endpoint=False)
+    # dU/dtheta = m Im(z conj(z - a)) / |z - a|**2 at z = t e^(i theta)
+    for t in (0.3, 1.0, 1.35, 2.0, 4.5):
+        z = t * np.exp(1j * theta)
+        slope = np.abs(atom[1] * (z * np.conj(z - atom[0])).imag / np.abs(z - atom[0]) ** 2)
+        bound = potentials._angular_lipschitz(model, np.array([t]))[0]
+        assert slope.max() <= bound <= slope.max() * (1.0 + 1e-6), (t, bound, slope.max())
+
+
 def test_circle_max_zoom_is_no_worse_than_golden_polish(monkeypatch):
     # the same brackets polished by golden-section search, as before the zoom
-    cases = [nk.random_case(case_id, seed=3) for case_id in range(1, 25)]
-    runs = [(case.model, np.linspace(0.0, case.window.outer, 18)[1:], samples)
-            for case in cases for samples in (512, 2048)]
-    new = [nk.circle_max_many(model, ts, samples) for model, ts, samples in runs]
+    runs = [(case.model, np.linspace(0.0, case.window.outer, 18)[1:])
+            for case in (nk.random_case(case_id, seed=3) for case_id in range(1, 25))]
+    new = [nk.circle_max_many(model, ts) for model, ts in runs]
     monkeypatch.setattr(potentials, "zoom_max", lambda f, lo, hi: golden_max(
         lambda x: f(x[:, None])[:, 0], lo, hi))
-    for got, (model, ts, samples) in zip(new, runs):
-        old = nk.circle_max_many(model, ts, samples)
+    for got, (model, ts) in zip(new, runs):
+        old = nk.circle_max_many(model, ts)
         ok = (got >= old - 1e-13 * np.maximum(1.0, np.abs(old))) | (got == old)
         assert ok.all(), (ts[~ok], got[~ok], old[~ok])
 
