@@ -10,12 +10,11 @@ from .potentials import (DeltaSubharmonicModel, HarmonicPart, RadialWindow,
                          circle_max_many, circle_mean, circle_mean_max,
                          circle_mean_plus, evaluate, evaluate_many,
                          from_rational, model_from_json, model_to_json, negate)
-from .integrators import (CantorPart, Integrator, Jump, LogSingularity,
-                          ModulusProfile, Piece, dini_integral, eval_m,
-                          eval_m_many, integrator_from_json, integrator_to_json,
-                          lebesgue, log_kernel_integral, modulus_of_continuity,
-                          nonconstancy_support, omega, omega_log_kernel_pair,
-                          omega_many, stieltjes_integral)
+from .integrators import (CantorPart, Integrator, Jump, LogSingularity, Piece,
+                          dini_integral, eval_m, eval_m_many,
+                          integrator_from_json, integrator_to_json, lebesgue,
+                          log_kernel_integral, nonconstancy_support, omega,
+                          omega_log_kernel_pair, omega_many, stieltjes_integral)
 from .characteristics import (ChargeView, ClassicalCharacteristic,
                               classical_characteristic, diff_nevanlinna,
                               diff_nevanlinna_total, integrated_counting,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import (classical_shape_check, classical_suite, counterexample_scan,
-                     generate_cases, scan_slope, verify_suite)
+from .bounds import (DEFAULT_EPSILONS, classical_shape_check, classical_suite,
+                     counterexample_scan, generate_cases, scan_slope,
+                     verify_suite)
 from .characteristics import (ChargeView, diff_nevanlinna,
                               diff_nevanlinna_total, radial_counting)
 from .errors import NevkitError, ParseError, json_object
@@ -75,6 +77,19 @@ def _floats(value) -> list:
     if isinstance(value, (list, tuple)):
         return [float(v) for v in value]
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
+
+
+def _positive(value) -> float:
+    """A float that is finite and > 0."""
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(x)
+    return x
+
+
+def _radii(value) -> list:
+    """Radii from ``_floats``, each finite and > 0."""
+    return [_positive(v) for v in _floats(value)]
 
 
 def _fmt(v) -> str:
@@ -139,10 +154,8 @@ CHARACTERISTICS_COLUMNS = ("quantity", "r", "R", "value", "route", "tolerance")
 
 def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
     model = _load_model(cfg, args)
-    radii = sorted(set(cfg.convert(args, "radii", _floats, "1.0")))
-    if any(t <= 0 for t in radii):
-        raise ParseError("radii must be positive")
-    tol = cfg.convert(args, "tol", float, 1e-6)
+    radii = sorted(set(cfg.convert(args, "radii", _radii, "1.0")))
+    tol = cfg.convert(args, "tol", _positive, 1e-6)
     neg = ChargeView.negative_part(model)
 
     rows = []
@@ -172,7 +185,7 @@ VERIFY_COLUMNS = ("case_id", "seed", "lhs", "rhs", "ratio", "verdict",
 def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
     n = cfg.convert(args, "cases", int, 25)
     seed = cfg.convert(args, "seed", int, 1)
-    tol = cfg.convert(args, "tol", float, 1e-6)
+    tol = cfg.convert(args, "tol", _positive, 1e-6)
     reports = verify_suite(generate_cases(n, seed=seed, tol=tol))
     rows = [(rep.case_id, rep.seed, rep.lhs, rep.rhs, rep.ratio, rep.verdict,
              *(rep.components[k] for k in VERIFY_COLUMNS[6:-1]), rep.certificate)
@@ -184,7 +197,8 @@ def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
 
 def run_counterexample(args, cfg: RunConfig) -> tuple[str, bool]:
     eps = cfg.convert(args, "epsilons", _floats)
-    rows = counterexample_scan(tuple(eps)) if eps else counterexample_scan()
+    tol = cfg.convert(args, "tol", _positive, 1e-8)
+    rows = counterexample_scan(tuple(eps) if eps else DEFAULT_EPSILONS, tol=tol)
     table = _table(("epsilon", "lhs", "dini"),
                    ((row.epsilon, row.lhs, row.dini) for row in rows))
     slope = scan_slope(rows)
@@ -217,7 +231,7 @@ CLASSICAL_COLUMNS = ("index", "r", "R", "lhs", "rhs", "ratio", "bridge", "verdic
 
 
 def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
-    tol = cfg.convert(args, "tol", float, 1e-6)
+    tol = cfg.convert(args, "tol", _positive, 1e-6)
     results = []
     suite = cfg.convert(args, "suite", int)
     if suite:
@@ -228,9 +242,9 @@ def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
         path = cfg.get(args, "rational")
         if not path:
             raise ParseError("need --rational PATH or --suite N")
+        r = cfg.convert(args, "r", _positive, 1.0)
+        k = cfg.convert(args, "k", _positive, 2.0)
         zeros, poles, scale = _load_rational(path)
-        r = cfg.convert(args, "r", float, 1.0)
-        k = cfg.convert(args, "k", float, 2.0)
         results.append((1, classical_shape_check(zeros, poles, scale, r, k, tol=tol)))
     rows = [(index, *(res[k] for k in CLASSICAL_COLUMNS[1:])) for index, res in results]
     passed = sum(1 for _, res in results if res["verdict"] == "pass")

@@ -30,7 +30,6 @@ _SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singula
 # reuses a chunk's memory for the next, where 32,768 and more made numpy fault
 # in fresh pages chunk after chunk
 _OMEGA_CHUNK = 16_384
-_PROFILE_POINTS = 64  # widths in the geometric grid of modulus_of_continuity
 
 
 @dataclass(frozen=True)
@@ -269,15 +268,6 @@ def omega(m: Integrator, t: float) -> float:
     return float(omega_many(m, np.asarray(float(t))))
 
 
-@dataclass
-class ModulusProfile:
-    """Modulus of continuity, exact on the grid, and its stabilization diameter."""
-
-    grid: np.ndarray
-    omega: np.ndarray
-    stab_diameter: float
-
-
 def _stabilization(m: Integrator) -> float:
     """Infimum of the window widths at which omega reaches the total variation.
 
@@ -289,16 +279,6 @@ def _stabilization(m: Integrator) -> float:
     """
     support = nonconstancy_support(m)
     return support[-1][1] - support[0][0] if support else 0.0
-
-
-def modulus_of_continuity(m: Integrator, R: float) -> ModulusProfile:
-    """Profile of omega on a geometric grid of _PROFILE_POINTS widths in (0, 4R]."""
-    if not R > 0:
-        raise ValueError("R must be positive")
-    cap = 4.0 * R
-    grid = np.geomspace(cap * 1e-9, cap, _PROFILE_POINTS)
-    return ModulusProfile(grid=grid, omega=omega_many(m, grid),
-                          stab_diameter=_stabilization(m))
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +321,6 @@ def _omega_over_t_integral(m: Integrator, upper: float, tol_abs: float) -> float
     return total
 
 
-def dini_integral(m: Integrator, R: float, tol: float = 1e-6) -> float:
-    """integral of omega(t)/t over (0, 4R]; +inf iff m has a jump component."""
-    if m.jumps:
-        return math.inf
-    M = m.total_variation
-    cap = 4.0 * R
-    scale = max(1.0, M * (1.0 + abs(math.log(max(cap, 1e-300)))))
-    return _omega_over_t_integral(m, cap, tol * scale * 0.5)
-
-
 def _log_pair_detailed(m: Integrator, R: float, tol: float):
     """(lhs, rhs, d) of the stabilized log-kernel comparison.
 
@@ -384,6 +354,17 @@ def omega_log_kernel_pair(m: Integrator, R: float, tol: float = 1e-6):
     """
     lhs, rhs, _ = _log_pair_detailed(m, R, tol)
     return lhs, rhs
+
+
+def dini_integral(m: Integrator, R: float, tol: float = 1e-6) -> float:
+    """integral of omega(t)/t over (0, 4R], the loose side of the pair.
+
+    omega equals the total variation M from the stabilization diameter d on,
+    so the integral is the tail over (0, d] plus M*ln(4R/d), exactly the rhs
+    of ``omega_log_kernel_pair``.  +inf iff m has a jump component, 0 for a
+    constant m; ValueError when d exceeds 4R.
+    """
+    return _log_pair_detailed(m, R, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import nevkit as nk
+from nevkit import cli
 from nevkit.cli import (
     CHARACTERISTICS_COLUMNS,
     EXIT_FAIL,
@@ -171,6 +172,23 @@ def test_counterexample_bad_epsilon():
     assert main(["counterexample", "--epsilons", "1.5"]) == EXIT_PARSE
 
 
+def test_counterexample_passes_tol(monkeypatch):
+    seen = []
+    scan = cli.counterexample_scan
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "counterexample_scan", spy)
+    assert main(["counterexample", "--tol", "1e-7", "--no-timestamp"]) == EXIT_OK
+    assert main(["counterexample", "--epsilons", "0.1,0.01", "--tol", "1e-6",
+                 "--no-timestamp"]) == EXIT_OK
+    # the default is the scan's own
+    assert main(["counterexample", "--no-timestamp"]) == EXIT_OK
+    assert seen == [1e-7, 1e-6, 1e-8]
+
+
 # -- classical ----------------------------------------------------------------------
 
 def test_classical_single_rational(tmp_path):
@@ -227,6 +245,18 @@ def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, comma
     (["characteristics"], {"radii": [1.0, None],
                            "model": {"atoms": [], "harmonic": [[1.0, 0.0]]}}, "radii"),
     (["classical", "--suite", "1"], {"tol": [1]}, "tol"),
+    # tolerances and radii must be finite and > 0; JSON NaN and Infinity parse
+    (["characteristics"], {"radii": [2.0], "tol": -1.0, "model": POLE_MODEL_DOC}, "tol"),
+    (["verify", "--cases", "1"], {"tol": -1.0}, "tol"),
+    (["verify", "--cases", "1"], {"tol": 0.0}, "tol"),
+    (["counterexample"], {"tol": math.nan}, "tol"),
+    (["classical", "--suite", "1"], {"tol": math.inf}, "tol"),
+    (["characteristics"], {"radii": [2.0, -1.0], "model": POLE_MODEL_DOC}, "radii"),
+    (["characteristics"], {"radii": [math.nan], "model": POLE_MODEL_DOC}, "radii"),
+    (["characteristics"], {"radii": [math.inf], "model": POLE_MODEL_DOC}, "radii"),
+    (["characteristics"], {"radii": "2,inf", "model": POLE_MODEL_DOC}, "radii"),
+    (["classical"], {"rational": "unread.json", "r": math.inf}, "r"),
+    (["classical"], {"rational": "unread.json", "k": math.inf}, "k"),
 ])
 def test_wrongly_typed_config_value_is_a_parse_error(tmp_path, capsys, command, doc, key):
     cfg = tmp_path / "c.json"

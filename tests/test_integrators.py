@@ -20,13 +20,13 @@ from nevkit.integrators import (
     integrator_to_json,
     lebesgue,
     log_kernel_integral,
-    modulus_of_continuity,
     nonconstancy_support,
     omega,
     omega_log_kernel_pair,
     omega_many,
     stieltjes_integral,
     _log_kernel_exact,
+    _stabilization,
 )
 
 LN = math.log
@@ -299,12 +299,10 @@ def test_omega_window_ending_on_a_jump_keeps_the_jump():
 
 
 def test_stabilization_oracles():
-    prof = modulus_of_continuity(lebesgue(2.0), R=4.0)
-    assert prof.stab_diameter == 2.0
+    assert _stabilization(lebesgue(2.0)) == 2.0
     jump_only = Integrator(end=2.0, jumps=(Jump(1.0, 1.0),))
-    assert modulus_of_continuity(jump_only, R=4.0).stab_diameter == 0.0
-    stairs = modulus_of_continuity(CANTOR, R=4.0)
-    assert stairs.stab_diameter == 1.0
+    assert _stabilization(jump_only) == 0.0
+    assert _stabilization(CANTOR) == 1.0
 
 
 @given(st.integers(min_value=1, max_value=60), st.booleans())
@@ -315,7 +313,7 @@ def test_stabilization_is_the_support_hull_width(seed, with_jumps):
         ends.append((m.cantor.start, m.cantor.stop))
     ends.extend((j.location, j.location) for j in m.jumps)
     d = max(b for _, b in ends) - min(a for a, _ in ends) if ends else 0.0
-    assert modulus_of_continuity(m, R=m.end).stab_diameter == d
+    assert _stabilization(m) == d
     # omega reaches the total variation just past d and not just before it
     M = m.total_variation
     assert omega(m, d * (1.0 + 1e-9)) >= M - 4 * EPS * M
@@ -358,6 +356,8 @@ def test_pair_needs_room():
     # staircase stabilizes at width 1 which exceeds 4R for R = 0.2
     with pytest.raises(ValueError):
         omega_log_kernel_pair(CANTOR, R=0.2)
+    with pytest.raises(ValueError):
+        dini_integral(CANTOR, R=0.2)
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -367,9 +367,8 @@ def test_pair_ordering(seed):
         return
     lhs, rhs = omega_log_kernel_pair(m, R=2.0 * m.end)
     assert lhs <= rhs
-    # the loose side of the pair is the Dini integral over (0, 4R]; the two
-    # quadratures panel the tail differently, hence the loose comparison
-    assert rhs == pytest.approx(dini_integral(m, R=2.0 * m.end), rel=1e-4)
+    # the loose side of the pair is the Dini integral over (0, 4R]
+    assert rhs == dini_integral(m, R=2.0 * m.end)
 
 
 # -- Stieltjes integration ----------------------------------------------------
