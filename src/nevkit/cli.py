@@ -79,9 +79,9 @@ def _floats(value) -> list:
     return [float(tok) for tok in str(value).split(",") if tok.strip()]
 
 
-def _positive(value) -> float:
-    """A float that is finite and > 0."""
-    x = float(value)
+def _positive(value, kind=float):
+    """A ``kind`` (float or int) that is finite and > 0."""
+    x = kind(value)
     if not 0.0 < x < math.inf:
         raise ValueError(x)
     return x
@@ -183,7 +183,7 @@ VERIFY_COLUMNS = ("case_id", "seed", "lhs", "rhs", "ratio", "verdict",
 
 
 def run_verify(args, cfg: RunConfig) -> tuple[str, bool]:
-    n = cfg.convert(args, "cases", int, 25)
+    n = cfg.convert(args, "cases", lambda v: _positive(v, int), 25)
     seed = cfg.convert(args, "seed", int, 1)
     tol = cfg.convert(args, "tol", _positive, 1e-6)
     reports = verify_suite(generate_cases(n, seed=seed, tol=tol))

@@ -120,6 +120,12 @@ def test_out_in_missing_directory(model_path, capsys, tmp_path):
 
 # -- verify -----------------------------------------------------------------------
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_case_count_must_be_positive(capsys, cases):
+    assert main(["verify", "--cases", cases]) == EXIT_PARSE
+    assert "'cases'" in capsys.readouterr().err
+
+
 def test_verify_small_suite(tmp_path):
     out = tmp_path / "verify.csv"
     code = main(["verify", "--cases", "6", "--seed", "1",
@@ -257,6 +263,9 @@ def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, comma
     (["characteristics"], {"radii": "2,inf", "model": POLE_MODEL_DOC}, "radii"),
     (["classical"], {"rational": "unread.json", "r": math.inf}, "r"),
     (["classical"], {"rational": "unread.json", "k": math.inf}, "k"),
+    # a case count must be > 0
+    (["verify"], {"cases": 0}, "cases"),
+    (["verify"], {"cases": -3}, "cases"),
 ])
 def test_wrongly_typed_config_value_is_a_parse_error(tmp_path, capsys, command, doc, key):
     cfg = tmp_path / "c.json"
@@ -295,11 +304,45 @@ def test_scripts_run():
     assert got.returncode == 0, got.stderr
 
 
-def test_bench_pairs_summary():
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", os.path.join(SCRIPTS, "bench_pairs.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def load_script(name, monkeypatch):
+    monkeypatch.syspath_prepend(SCRIPTS)
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_failure_census(monkeypatch, capsys):
+    census = load_script("failure_census", monkeypatch)
+    assert census.seed_range("1-10") == range(1, 11)
+    assert census.seed_range("4") == range(4, 5)
+    notes = {"base": ["# op 3 (case 1:15) failed: lhs -1.0 below -tol",
+                      "# unscaled: ops_per_s=7.0"],
+             "head": ["# op 3 (case 1:15) failed: lhs -1.0 below -tol",
+                      "# op 3 (case 1:15) failed: again",
+                      "# op 7 (case 1:25) failed: rhs 2.0 != 1.0",
+                      "# fixture: ratio 0.2 != 0.1"]}
+    fails = census.failures(notes["head"])
+    assert list(fails) == ["1:15", "1:25", "fixture"]
+    assert fails["1:15"] == notes["head"][0]
+
+    def fake_run(tree, workload, seed, seconds):
+        return {"notes": notes[tree.name]}
+
+    monkeypatch.setattr(census, "run_once", fake_run)
+    assert census.main(["--base", "base", "--head", "head", "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    # one line per workload, then the head's new failures: two per workload
+    assert "verify-finite seed 1: base 1:15  head 1:15 1:25 fixture" in out
+    assert "failing at the head only: 6" in out
+    assert "verify-finite: # op 7 (case 1:25) failed: rhs 2.0 != 1.0" in out
+    notes["base"] = notes["head"] = []
+    assert census.main(["--base", "base", "--head", "head", "--seeds", "1"]) == 0
+    assert "means seed 1: base -  head -" in capsys.readouterr().out
+
+
+def test_bench_pairs_summary(monkeypatch):
+    bench = load_script("bench_pairs", monkeypatch)
 
     def run(ops, p50):
         return {"metrics": {"ops_per_s": ops, "op_p50_s": p50}}
