@@ -233,7 +233,7 @@ CLASSICAL_COLUMNS = ("index", "r", "R", "lhs", "rhs", "ratio", "bridge", "verdic
 def run_classical(args, cfg: RunConfig) -> tuple[str, bool]:
     tol = cfg.convert(args, "tol", _positive, 1e-6)
     results = []
-    suite = cfg.convert(args, "suite", int)
+    suite = cfg.convert(args, "suite", lambda v: _positive(v, int))
     if suite:
         seed = cfg.convert(args, "seed", int, 1)
         for index, _, res in classical_suite(suite, seed=seed, tol=tol):

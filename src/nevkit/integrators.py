@@ -322,15 +322,19 @@ def _omega_over_t_integral(m: Integrator, upper: float, tol_abs: float) -> float
 
 
 def _log_pair_detailed(m: Integrator, R: float, tol: float):
-    """(lhs, rhs, d) of the stabilized log-kernel comparison.
+    """(dini, d): the log-kernel term ∫_(0,d] ln(4R/t) dω and the
+    stabilization diameter d (nan, not computed, when m jumps).
 
-    d is not computed (nan) when m jumps: both sides are +inf regardless.
+    By parts the term is ω(d) ln(4R/d) + ∫_0^d ω(t)/t dt, and ω(d) = M, the
+    total variation, since a window of width d covers the support hull
+    (``_stabilization``); as ω = M past d, it is the Dini integral over
+    (0, 4R].  A jump makes the tail, and so the term, +inf.
     """
     if m.jumps:
-        return math.inf, math.inf, math.nan
+        return math.inf, math.nan
     d = _stabilization(m)
     if d == 0.0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0
     cap = 4.0 * R
     if d > cap:
         raise ValueError("outer radius too small: stabilization exceeds 4R")
@@ -338,33 +342,25 @@ def _log_pair_detailed(m: Integrator, R: float, tol: float):
     log_term = math.log(cap / d)
     scale = max(1.0, M * (1.0 + abs(log_term)))
     tail = _omega_over_t_integral(m, d, tol * scale * 0.25)
-    lhs = omega(m, d) * log_term + tail
-    rhs = M * log_term + tail
-    return lhs, rhs, d
+    return M * log_term + tail, d
 
 
 def omega_log_kernel_pair(m: Integrator, R: float, tol: float = 1e-6):
-    """(lhs, rhs) with lhs = Stieltjes integral of ln(4R/t) against omega over
-    (0, d] and rhs = the Dini tail plus M*ln(4R/d), d the stabilization
-    diameter.
-
-    Both sides are evaluated through integration by parts; the boundary term
-    at 0 vanishes exactly when the Dini integral is finite, and jump
-    integrators therefore return (+inf, +inf).  A constant m returns (0, 0).
+    """(lhs, rhs): ∫_(0,d] ln(4R/t) dω and the Dini tail plus M ln(4R/d), d
+    the stabilization diameter.  By parts they are one number, computed once
+    and returned twice (``_log_pair_detailed``).  (+inf, +inf) for a jump
+    integrator, (0, 0) for a constant one.
     """
-    lhs, rhs, _ = _log_pair_detailed(m, R, tol)
-    return lhs, rhs
+    dini = _log_pair_detailed(m, R, tol)[0]
+    return dini, dini
 
 
 def dini_integral(m: Integrator, R: float, tol: float = 1e-6) -> float:
-    """integral of omega(t)/t over (0, 4R], the loose side of the pair.
-
-    omega equals the total variation M from the stabilization diameter d on,
-    so the integral is the tail over (0, d] plus M*ln(4R/d), exactly the rhs
-    of ``omega_log_kernel_pair``.  +inf iff m has a jump component, 0 for a
+    """integral of omega(t)/t over (0, 4R], the log-kernel term of
+    ``_log_pair_detailed``.  +inf iff m has a jump component, 0 for a
     constant m; ValueError when d exceeds 4R.
     """
-    return _log_pair_detailed(m, R, tol)[1]
+    return _log_pair_detailed(m, R, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ def test_document_that_is_not_an_object_is_a_parse_error(tmp_path, capsys, comma
     # a case count must be > 0
     (["verify"], {"cases": 0}, "cases"),
     (["verify"], {"cases": -3}, "cases"),
+    # so must a suite size
+    (["classical", "--suite", "0"], {}, "suite"),
+    (["classical", "--suite", "-3"], {}, "suite"),
 ])
 def test_wrongly_typed_config_value_is_a_parse_error(tmp_path, capsys, command, doc, key):
     cfg = tmp_path / "c.json"
@@ -363,3 +366,49 @@ def test_bench_pairs_summary(monkeypatch):
              for i, b in enumerate(base)]
     got = bench.summarize(close, {"ops_per_s": "higher"})["ops_per_s"]
     assert (got["wins"], got["losses"], got["gain"]) == (9, 1, False)
+
+
+def moved_rows(out):
+    """{field: (same, moved)} from the table of ``diff_outputs.compare``."""
+    rows = {}
+    for line in out.splitlines()[1:]:
+        cells = line.split()
+        if len(cells) in (3, 5) and "." in cells[0]:
+            rows[cells[0]] = (int(cells[1]), int(cells[2]))
+    return rows
+
+
+def test_diff_outputs(monkeypatch, tmp_path, capsys):
+    diff = load_script("diff_outputs", monkeypatch)
+    base, head = tmp_path / "base.npz", tmp_path / "head.npz"
+    assert diff.main(["dump", str(base), "--seeds", "1-2", "--cases", "3"]) == 0
+    assert diff.main(["compare", str(base), str(base)]) == 0
+    out = capsys.readouterr().out
+    assert "moved values: 0\nverdict changes: 0\n" in out
+    rows = moved_rows(out)
+    assert rows["verify.lhs"] == (6, 0) and rows["classical.verdict"] == (20, 0)
+    assert all(moved == 0 for _, moved in rows.values())
+
+    # one component of one case moves by one ulp
+    import nevkit.bounds as bounds
+    rhs_of = bounds.growth_bound_rhs
+
+    def nudged(case):
+        rhs, comp = rhs_of(case)
+        if (case.seed, case.case_id) == (2, 1):
+            comp = dict(comp, kint_lhs=math.nextafter(comp["kint_lhs"], math.inf))
+        return rhs, comp
+
+    monkeypatch.setattr(bounds, "growth_bound_rhs", nudged)
+    assert diff.main(["dump", str(head), "--seeds", "1-2", "--cases", "3"]) == 0
+    assert diff.main(["compare", str(base), str(head)]) == 0
+    out = capsys.readouterr().out
+    rows = moved_rows(out)
+    assert {key for key, (_, moved) in rows.items() if moved} == {"verify.kint_lhs"}
+    assert rows["verify.kint_lhs"] == (5, 1)
+    kint = diff.load(base)["verify.kint_lhs"][3]
+    lines = out.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("verify.kint_lhs "))
+    assert lines[at].split()[3:] == [f"{math.ulp(kint):.3g}", f"{math.ulp(kint) / kint:.3g}"]
+    assert lines[at + 1] == "    at 2:1"
+    assert "moved values: 1\nverdict changes: 0\n" in out

@@ -371,7 +371,7 @@ def test_pair_ordering(seed):
         return
     lhs, rhs = omega_log_kernel_pair(m, R=2.0 * m.end)
     assert lhs <= rhs
-    # the loose side of the pair is the Dini integral over (0, 4R]
+    # both sides are the one log-kernel term, the Dini integral over (0, 4R]
     assert rhs == dini_integral(m, R=2.0 * m.end)
 
 
@@ -466,6 +466,112 @@ def test_dini_tail_meets_its_budget_on_a_deep_staircase():
     d, budget = dini_tail_budget(CANTOR, R=2.0)
     assert d == 1.0
     assert abs(_omega_over_t_integral(CANTOR, d, budget) - 1.291000437367732) <= budget
+
+
+# -- the log-kernel term against routes of its own ----------------------------
+#
+# dini_integral is M ln(4R/d) + the Dini tail, which is ∫_(0,d] ln(4R/t) dω by
+# parts only because ω(d) = M.  The routes below integrate against dω
+# directly, with no integration by parts and no shared quadrature.
+
+def jump_free_cases(seeds, kinds=(0, 1)):
+    """(id, m, R) of the random cases of ``seeds`` whose kind (case_id % 5) is
+    in ``kinds``: 0 is pieces alone, 1 pieces and a staircase."""
+    for seed in seeds:
+        for case_id in range(1, 201):
+            if case_id % 5 in kinds:
+                case = random_case(case_id, seed=seed)
+                yield f"{seed}:{case_id}", case.integrator, case.window.outer
+
+
+def log_kernel_by_envelope(m, R):
+    """∫_(0,d] ln(4R/t) dω in closed form for a jump-free m without staircase.
+
+    Between consecutive differences of mesh points, the mass of every window
+    that starts or ends at a mesh point is linear in the width t, so ω is the
+    upper envelope of those lines there.  On each piece of the envelope
+    dω = β dt, and ∫ ln(4R/t) β dt = β [t ln(4R/t) + t].
+    """
+    xs, F, _ = m._mesh
+    d = _stabilization(m)
+    diffs = np.unique(np.abs(xs[:, None] - xs))
+    cuts = np.append(diffs[diffs < d], d)
+
+    def prim(t):
+        return t * LN(4.0 * R / t) + t if t > 0.0 else 0.0
+
+    def masses(t):
+        return np.concatenate([np.interp(xs + t, xs, F) - F,
+                               F - np.interp(xs - t, xs, F)])
+
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        start = masses(a)
+        slope = (masses(b) - start) / (b - a)
+        k = np.lexsort((slope, start))[-1]  # highest at a, then steepest
+        x = 0.0
+        while x < b - a:
+            # where each steeper line overtakes line k; the first one leads
+            cross = np.full(slope.size, math.inf)
+            up = slope > slope[k]
+            cross[up] = np.maximum((start[k] - start[up]) / (slope[up] - slope[k]), x)
+            nxt = min(cross.min(), b - a)
+            total += slope[k] * (prim(a + nxt) - prim(a + x))
+            first = cross == cross.min()
+            k = np.flatnonzero(first)[np.argmax(slope[first])]
+            x = nxt
+    return total
+
+
+def log_kernel_bracket(m, R, n=2000):
+    """Bounds on ∫_(0,d] ln(4R/t) dω for a jump-free m: the kernel falls and
+    ω rises, so on the widths t_k each step adds between ln(4R/t_(k+1)) Δω_k
+    and ln(4R/t_k) Δω_k.  Below t0, the width of a cell of largest density
+    ρ_max, ω(t) = ρ_max t, which gives the head in closed form."""
+    xs, _, rho = m._mesh
+    k = int(np.argmax(rho))
+    d = _stabilization(m)
+    t0 = min(xs[k + 1] - xs[k], d)
+    head = rho[k] * t0 * (LN(4.0 * R / t0) + 1.0)
+    ts = np.geomspace(t0, d, n)
+    dw = np.diff(omega_many(m, ts))
+    kernel = np.log(4.0 * R / ts)
+    return head + kernel[1:] @ dw, head + kernel[:-1] @ dw
+
+
+def test_omega_reaches_the_total_variation_at_the_stabilization_diameter():
+    # the identity that lets the log-kernel term be computed once; in float
+    # omega can come out a few ulps below M, never above
+    ms = [m for _, m, _ in jump_free_cases(range(1, 11))] + [lebesgue(2.0), CANTOR]
+    for m in ms:
+        M = m.total_variation
+        assert 0.0 <= M - omega(m, _stabilization(m)) <= 4 * EPS * M
+
+
+def test_log_kernel_term_matches_the_envelope_route_with_pieces_alone():
+    assert log_kernel_by_envelope(lebesgue(2.0), R=4.0) == pytest.approx(
+        2.0 * LN(8.0) + 2.0, rel=1e-14)
+    # every pieces-only case of seeds 1-10, within the tail's budget (the
+    # worst, 6:70, is 0.046 of it)
+    misses = []
+    for case_id, m, R in jump_free_cases(range(1, 11), kinds=(0,)):
+        _, budget = dini_tail_budget(m, R)
+        err = abs(dini_integral(m, R, tol=100e-6) - log_kernel_by_envelope(m, R))
+        if not err <= budget:
+            misses.append((case_id, err / budget))
+    assert misses == []
+
+
+def test_log_kernel_term_lies_in_the_monotone_bracket():
+    # every jump-free case of seeds 1-2; the brackets are up to 72 budgets
+    # wide, and only a single piece's (which closes to ulps) needs the budget
+    outside = []
+    for case_id, m, R in jump_free_cases((1, 2)):
+        _, budget = dini_tail_budget(m, R)
+        lo, hi = log_kernel_bracket(m, R)
+        if not lo - budget <= dini_integral(m, R, tol=100e-6) <= hi + budget:
+            outside.append(case_id)
+    assert outside == []
 
 
 # -- Stieltjes integration ----------------------------------------------------
