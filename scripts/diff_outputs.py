@@ -9,8 +9,10 @@
 output field to one array of ``OUT.npz``: ``verify.lhs``, ``verify.kint_lhs``
 and every other report field and component, ``fixture.*``,
 ``counterexample.*`` and ``classical.*``; ``<group>.id`` labels the rows
-(``seed:case`` for the suite).  Nothing is timed, so a dump depends only on
-the source tree.
+(``seed:case`` for the suite).  ``means.*`` holds each suite case's circle
+means at r and R, ``circle_mean_plus`` and the canonical
+``circle_mean_max(u, v)``, both at tol ``MEANS_TOL``.  Nothing is timed, so
+a dump depends only on the source tree.
 
 ``compare`` prints, per field, how many values are bit-identical (nan equals
 nan) and how many moved, with the largest absolute and relative move and the
@@ -32,8 +34,10 @@ from bench_pairs import ROOT
 from failure_census import seed_range
 from nevkit.bounds import (classical_suite, counterexample_scan, generate_cases,
                            growth_bound_verify, reference_case, verify_suite)
+from nevkit.potentials import canonical_split, circle_mean_max, circle_mean_plus
 
 TOL = 1e-6  # the suite's case tolerance, the default of generate_cases
+MEANS_TOL = 1e-8  # the tolerance of c_plus_R in growth_bound_rhs, 0.01 * TOL
 CLASSICAL_SUITE = 20
 
 
@@ -54,15 +58,27 @@ def _report_row(rep) -> dict:
             "verdict": rep.verdict, **rep.components, "certificate": rep.certificate}
 
 
+def _means_row(case) -> dict:
+    u, v = canonical_split(case.model)
+    row = {}
+    for name, t in (("r", case.window.inner), ("R", case.window.outer)):
+        row[f"plus_{name}"] = circle_mean_plus(case.model, t, tol=MEANS_TOL)
+        row[f"canonical_{name}"] = circle_mean_max(u, v, t, tol=MEANS_TOL)
+    return row
+
+
 def collect(seeds, cases: int) -> dict:
     """Every output of the fixed inputs, as ``{field: array}``."""
-    reports = [rep for seed in seeds
-               for rep in verify_suite(generate_cases(cases, seed=seed, tol=TOL))]
+    suites = [generate_cases(cases, seed=seed, tol=TOL) for seed in seeds]
+    reports = [rep for suite in suites for rep in verify_suite(suite)]
+    circles = [case for suite in suites for case in suite]
     scan = counterexample_scan()
     classical = classical_suite(CLASSICAL_SUITE)
     return {
         **_columns("verify", [f"{rep.seed}:{rep.case_id}" for rep in reports],
                    [_report_row(rep) for rep in reports]),
+        **_columns("means", [f"{case.seed}:{case.case_id}" for case in circles],
+                   [_means_row(case) for case in circles]),
         **_columns("fixture", ["fixture"], [_report_row(growth_bound_verify(reference_case()))]),
         **_columns("counterexample", range(1, len(scan) + 1),
                    [{"epsilon": row.epsilon, "lhs": row.lhs, "dini": row.dini}

@@ -88,9 +88,9 @@ def diff_nevanlinna(model: DeltaSubharmonicModel, window: RadialWindow,
     """Two-radius characteristic of the model over the window.
 
     route="charge" takes the positive-part circle means plus the integrated
-    counting of the negative charge; route="canonical" integrates the upper
-    envelope of the canonical pair at both radii and subtracts.  The two
-    agree up to quadrature error.
+    counting of the negative charge; route="canonical" takes the mean of the
+    upper envelope of the canonical pair at both radii and subtracts.  Both
+    are closed forms on arcs and agree up to rounding.
     """
     r, R = window.inner, window.outer
     if r <= 0.0:

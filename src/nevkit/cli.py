@@ -163,7 +163,7 @@ def run_characteristics(args, cfg: RunConfig) -> tuple[str, bool]:
         rows.append(("M_U", t, None, circle_max(model, t), "envelope", None))
         rows.append(("C_U", t, None, circle_mean(model, t), "closed", None))
         rows.append(("C_U_plus", t, None, circle_mean_plus(model, t, tol=tol),
-                     "quadrature", tol))
+                     "arcs", tol))
         rows.append(("mu_rd", t, None, radial_counting(neg, t), "closed", None))
     windows = list(zip(radii, radii[1:]))
     if len(radii) > 2:

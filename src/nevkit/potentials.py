@@ -6,9 +6,9 @@ complex polynomial:
     U(z) = Re(sum_k c_k z^k) + sum_j mass_j * ln|z - a_j|.
 
 Positive masses are the subharmonic part, negative masses the part that gets
-subtracted; the polynomial contributes the harmonic background.  Everything
-downstream (circle means, counting functions, growth characteristics) reduces
-to closed forms or one-dimensional quadrature over these models.
+subtracted; the polynomial contributes the harmonic background.  Circle
+means, including those of the upper envelope of two models, are closed forms;
+circle maxima come from a sampled and polished angular search.
 """
 from __future__ import annotations
 
@@ -21,14 +21,25 @@ import numpy as np
 
 from .errors import (AtomOnCircle, CoincidentOppositeAtoms, ParseError,
                      SharedZeroPole, json_object)
-from .quad import adaptive_simpson, bisect_sign_changes, zoom_max
+from .quad import bisect_sign_changes, zoom_max
 
 RADIUS_TOL = 1e-12  # relative distance at which same_radius counts two radii as one
 CIRCLE_MAX_SAMPLES = 512  # angular grid of every circle maximum
-CROSSING_SCAN = 4096  # angular grid that locates sign changes in circle_mean_max
+CROSSING_SCAN = 4096  # angular grid of the sign-change scan of circle_mean_max
 _MAX_ANGLES = np.linspace(0.0, 2.0 * np.pi, CIRCLE_MAX_SAMPLES, endpoint=False)
 _SCAN_ANGLES = np.linspace(0.0, 2.0 * np.pi, CROSSING_SCAN, endpoint=False)
 _MAX_ANGLES.flags.writeable = _SCAN_ANGLES.flags.writeable = False
+
+_LI2_POWER = tuple(1.0 / n ** 2 for n in range(48, 0, -1))  # _li2's Horner order
+_LI2_BERNOULLI = (  # -B_2j / (2j (2j+1)!), j = 1..22: _li2's odd terms in ln z
+    -0.013888888888888888, 6.944444444444444e-05, -7.873519778281683e-07,
+    1.1482216343327455e-08, -1.8978869988971e-10, 3.387301370953521e-12,
+    -6.372636443183181e-14, 1.2462059912950672e-15, -2.5105444608999545e-17,
+    5.178258806090623e-19, -1.0887357368300849e-20, 2.325744114302087e-22,
+    -5.03519521314739e-24, 1.1026499294381215e-25, -2.4386585509007344e-27,
+    5.440142678856253e-29, -1.2228340131217352e-30, 2.767263468967951e-32,
+    -6.3000905918320136e-34, 1.4420868388418476e-35, -3.3170939991595428e-37,
+    7.663913557920658e-39)
 
 
 @dataclass(frozen=True)
@@ -260,77 +271,91 @@ def circle_mean(model: DeltaSubharmonicModel, t: float) -> float:
     return c0 + float(masses @ np.log(np.maximum(t, radii)))
 
 
+def _li2(z) -> np.ndarray:
+    """Li2 on an array of complex points with |z| <= 1: the power series
+    sum z**n / n**2 to n = 48 below |z| = 1/2, else the series in w = ln z,
+    pi**2/6 + w (1 - ln(-w)) - w**2/4 + sum_j -B_2j w**(2j+1) / (2j (2j+1)!),
+    convergent for |w| < 2 pi; here |w| <= |ln 2 + i pi| < 3.22, where the
+    terms past j = 22 add under 1e-16."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    small = np.abs(z) < 0.5
+    zs, w = z[small], np.log(z[~small])
+    w2 = w * w
+    power = odd = 0.0
+    for c in _LI2_POWER:
+        power = (power + c) * zs
+    for b in reversed(_LI2_BERNOULLI):
+        odd = odd * w2 + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(w == 0.0, 0.0, w * (1.0 - np.log(-w)))  # w ln(-w) -> 0 at z = 1
+    out[small] = power
+    out[~small] = math.pi ** 2 / 6.0 + head - 0.25 * w2 + odd * w2 * w
+    return out
+
+
+def _arc_integral(model: DeltaSubharmonicModel, t: float, lo, hi) -> np.ndarray:
+    """Integral of the model over theta in each arc [lo, hi] of |z| = t, atom by
+    atom in a fixed order: c_k gives Re(c_k t**k (e^{ik hi} - e^{ik lo}) / (ik)),
+    an atom of mass m at rho e^{i phi} gives m (ln max(t, rho) (hi - lo) - Delta
+    Im Li2(q e^{i(theta - phi)})), q = min(t, rho) / max(t, rho), from
+    ln|1 - q e^{i psi}| = -Re sum q**n e^{i n psi} / n term by term."""
+    span = hi - lo
+    coeffs = model.harmonic.coefficients
+    out = (coeffs[0].real if coeffs else 0.0) * span
+    for k, c in enumerate(coeffs[1:], start=1):
+        out = out + (c * t ** k * (np.exp(1j * k * hi) - np.exp(1j * k * lo)) / (1j * k)).real
+    if model.atoms:
+        locs, masses, radii, _ = model._atom_arrays
+        q = np.minimum(t, radii) / np.maximum(t, radii)
+        li = _li2(np.exp(1j * np.stack([lo, hi]))[..., None]
+                  * (q * np.exp(-1j * np.angle(locs)))).imag
+        for mass, log, d in zip(masses, np.log(np.maximum(t, radii)), (li[1] - li[0]).T):
+            out = out + mass * (log * span - d)
+    return out
+
+
 def circle_mean_max(model_a: DeltaSubharmonicModel, model_b: DeltaSubharmonicModel,
                     t: float, tol: float = 1e-8) -> float:
     """Mean of the pointwise max of two models over the circle |z| = t.
 
-    Sign changes of g = U_a - U_b are located by sampling plus bisection;
-    the upper envelope is then integrated adaptively in one call, over the
-    turn that starts at the first sign change, cut at every sign change and
-    atom angle.  Absolute error <= tol, else ToleranceNotReached.
-
-    Where the scan shows no sign change, a Lipschitz bound may rule one out:
-    with L = ``_angular_lipschitz`` of both models, a scan cell [x, y]
-    (wrapping round the turn) with |g(x)| + |g(y)| > L (y - x) holds no zero
-    of g.  If every cell passes, one model dominates the whole circle and
-    the mean is its ``circle_mean`` in closed form (Jensen).  The test has
-    no rounding margin: if the rounding error d of the computed g hides a
-    zero in a passing cell, g crosses 0 there by at most about d, so the
-    closed form is off by at most about d, an error the quadrature's
-    values carry too.
+    Sign changes of g = U_a - U_b are sought on CROSSING_SCAN angles plus
+    every atom angle and antipode, and located by bisection.  Each arc
+    between two neighbouring crossings takes the model that dominates at the
+    scan node after its first crossing, in closed form (``_arc_integral``);
+    with no sign change, the dominant model's ``circle_mean``.  The error is
+    rounding plus about |g'| delta**2 / (4 pi) per crossing located delta
+    off, far below ``tol``, which selects no work.  Two crossings inside one
+    scan cell go unseen.
     """
     t = float(t)
     if t <= 0.0:
         raise ValueError("circle_mean_max needs t > 0")
     for m in (model_a, model_b):
-        if m.atoms:
-            if same_radius(m.atom_radii, t).any():
-                raise AtomOnCircle(t)
+        if same_radius(m.atom_radii, t).any():
+            raise AtomOnCircle(t)
 
-    def pair(theta):  # one z per batch of angles
+    def g(theta):  # one z per batch of angles
         z = t * np.exp(1j * theta)
-        return evaluate_many(model_a, z), evaluate_many(model_b, z)
+        return evaluate_many(model_a, z) - evaluate_many(model_b, z)
 
-    def g(theta):
-        u_a, u_b = pair(theta)
-        return u_a - u_b
-
-    def envelope(theta):
-        return np.maximum(*pair(theta))
-
-    # the crossing scan runs on a denser grid than the quadrature would need:
-    # a sign change missed inside one cell puts a kink into a panel, where the
-    # Richardson acceptance test underestimates the true panel error
-    features = np.unique(np.concatenate([model_a._atom_arrays[3], model_b._atom_arrays[3]]))
-    nodes = np.unique(np.concatenate([_SCAN_ANGLES, features]))
-    diff = g(nodes)
-
-    sign = np.where(diff >= 0.0, 1.0, -1.0)
-    wrap_nodes = np.append(nodes, nodes[0] + 2.0 * np.pi)
-    wrap_sign = np.append(sign, sign[0])
-    flip = wrap_sign[:-1] * wrap_sign[1:] < 0
+    nodes = np.unique(np.concatenate([_SCAN_ANGLES, model_a._atom_arrays[3],
+                                      model_b._atom_arrays[3]]))
+    sign = np.where(g(nodes) >= 0.0, 1.0, -1.0)
+    after = np.append(sign[1:], sign[0])  # the sign at the next node round the turn
+    flip = sign != after
     if not flip.any():
-        tp = np.array([t])
-        lip = _angular_lipschitz(model_a, tp)[0] + _angular_lipschitz(model_b, tp)[0]
-        reach = np.abs(diff) + np.abs(np.append(diff[1:], diff[0]))
-        if (reach > lip * np.diff(wrap_nodes)).all():
-            return circle_mean(model_a if sign[0] > 0 else model_b, t)
-    crossings = bisect_sign_changes(g, wrap_nodes[:-1][flip], wrap_nodes[1:][flip],
-                                    sign[flip])
-
-    # the atom angles are cuts too: the integrand's narrow features sit
-    # exactly there, and a feature centered on a panel boundary cannot alias
-    # past the Simpson error estimate
-    c0 = float(crossings.min()) if crossings.size else 0.0
-    cuts = np.concatenate([[c0, c0 + 2.0 * np.pi], crossings,
-                           np.where(features < c0, features + 2.0 * np.pi, features)])
-
-    # pi * tol on the integral over 2*pi leaves the mean half of tol
-    return adaptive_simpson(envelope, cuts, np.pi * tol, min_depth=2) / (2.0 * np.pi)
+        return circle_mean(model_a if sign[0] > 0 else model_b, t)
+    wrap_nodes = np.append(nodes, nodes[0] + 2.0 * np.pi)
+    starts = bisect_sign_changes(g, wrap_nodes[:-1][flip], wrap_nodes[1:][flip], sign[flip])
+    stops = np.append(starts[1:], starts[0] + 2.0 * np.pi)
+    up = after[flip] > 0
+    return float(_arc_integral(model_a, t, starts[up], stops[up]).sum()
+                 + _arc_integral(model_b, t, starts[~up], stops[~up]).sum()) / (2.0 * np.pi)
 
 
 def circle_mean_plus(model: DeltaSubharmonicModel, t: float, tol: float = 1e-8) -> float:
-    """Mean of the positive part over the circle |z| = t, by quadrature.
+    """Mean of the positive part over the circle |z| = t, in closed form on arcs.
 
     The negative-part mean follows by feeding the negated model.
     """

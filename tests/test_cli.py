@@ -64,8 +64,8 @@ def test_characteristics_csv(tmp_path, model_path):
     for r in rows:
         per_radius = r["quantity"] in ("M_U", "C_U", "C_U_plus", "mu_rd")
         assert (r["R"] == "") == per_radius
-        quadrature = r["quantity"] in ("C_U_plus", "T", "T_total")
-        assert r["tolerance"] == (repr(1e-6) if quadrature else "")
+        asked = r["quantity"] in ("C_U_plus", "T", "T_total")
+        assert r["tolerance"] == (repr(1e-6) if asked else "")
 
 
 def test_characteristics_stdout_timestamp(capsys, model_path):
@@ -387,6 +387,7 @@ def test_diff_outputs(monkeypatch, tmp_path, capsys):
     assert "moved values: 0\nverdict changes: 0\n" in out
     rows = moved_rows(out)
     assert rows["verify.lhs"] == (6, 0) and rows["classical.verdict"] == (20, 0)
+    assert rows["means.plus_r"] == rows["means.canonical_R"] == (6, 0)
     assert all(moved == 0 for _, moved in rows.values())
 
     # one component of one case moves by one ulp
