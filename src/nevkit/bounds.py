@@ -23,6 +23,8 @@ from .potentials import (DeltaSubharmonicModel, HarmonicPart, RadialWindow,
                          RieszAtom, circle_max_many, circle_mean_plus,
                          evaluate, from_rational, same_radius)
 
+_CROSSING_HALVINGS = 10  # single-radius halvings of each sign-change bracket of M
+
 
 @dataclass(frozen=True)
 class VerificationCase:
@@ -73,8 +75,6 @@ def log_singularity_profile(model: DeltaSubharmonicModel, upto: float,
     for a in model.atoms:
         if a.mass < 0 and a.radius <= upto:
             per_loc[a.location] = per_loc.get(a.location, 0.0) - a.mass
-    if not per_loc:
-        return ()
     pairs = sorted((abs(loc), c) for loc, c in per_loc.items())
     out: list[LogSingularity] = []
     for rho, coeff in pairs:
@@ -94,14 +94,27 @@ def max_plus_sampler(model: DeltaSubharmonicModel):
 
 
 def growth_bound_lhs(case: VerificationCase) -> float:
-    """integral of the clipped circle maximum against the integrator."""
-    sing = log_singularity_profile(case.model, upto=case.window.outer,
-                                   scale=2.0 * case.window.outer)
-    # the sampled circle maxima are polished to about 1e-12 relative, far
-    # below case.tol, and the verdict slack is rhs-relative, so case.tol is
-    # the whole quadrature budget
-    return stieltjes_integral(max_plus_sampler(case.model), case.integrator,
-                              tol=case.tol, singularities=sing)
+    """integral of the clipped circle maximum M against the integrator, cut
+    at the structural points (0, end, the atom radii, the piece and
+    staircase ends) and at both ends of each sign change of M between two
+    of them, where max(M, 0) kinks, bracketed by _CROSSING_HALVINGS
+    halvings.  Two sign changes between neighbouring points go unseen.
+    """
+    m = case.integrator
+    sing = log_singularity_profile(case.model, upto=m.end, scale=2.0 * case.window.outer)
+    pts = np.unique([0.0, m.end, *(a.radius for a in case.model.atoms if a.radius <= m.end),
+                     *(x for p in (*m.pieces, m.cantor) if p for x in (p.start, p.stop))])
+    positive = circle_max_many(case.model, pts) > 0.0
+    flip = positive[:-1] != positive[1:]
+    lo, hi, left_sign = pts[:-1][flip], pts[1:][flip], positive[:-1][flip]
+    for _ in range(_CROSSING_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        same = (circle_max_many(case.model, mid) > 0.0) == left_sign
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    # circle maxima are polished to about 1e-12 relative and the verdict
+    # slack is rhs-relative, so case.tol is the whole quadrature budget
+    return stieltjes_integral(max_plus_sampler(case.model), m, tol=case.tol,
+                              singularities=sing, cuts=(*pts, *lo, *hi))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ m(x) = m(0) for x <= 0 and m(x) = m(end) for x >= end.
 The staircase component is represented by its depth-d piecewise-linear stage
 (ternary subdivision stopped at level d, linear on the surviving intervals).
 The stage deviates from the ideal staircase by at most height * 2**-depth
-uniformly, and it makes the whole integrator piecewise linear plus jumps, so
-the modulus of continuity and the Stieltjes/log-kernel integrals below have
-exact or certified evaluation paths.
+uniformly, and it makes the whole integrator piecewise linear plus jumps: the
+modulus of continuity and the log-kernel integrals are exact on the mesh, and
+a Stieltjes integral reads one antiderivative of f at the mesh kinks.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ParseError, ToleranceNotReached, json_object
 from .potentials import same_radius
-from .quad import MAX_PANELS, adaptive_simpson
+from .quad import MAX_PANELS, adaptive_simpson, antiderivative
 
-_SINGULARITY_DODGE = 1e-11  # relative step that moves a query off a log singularity
+_SINGULARITY_DODGE = 1e-8  # relative step off a log singularity: ~sqrt(ulp), see README
 # floats per temporary of omega_many (128 KiB): at this size the allocator
 # reuses a chunk's memory for the next, where 32,768 and more made numpy fault
 # in fresh pages chunk after chunk
@@ -415,72 +415,28 @@ def _log_kernel_exact(m: Integrator, x: float, scale: float) -> float:
 
 def _desingularized(f, singularities):
     """Wrap f so queries dodge the singular points and the log part cancels."""
-    sing = tuple(singularities)
-
     def ft(ts):
         ts = np.array(ts, dtype=float, copy=True)
-        for s in sing:
+        for s in singularities:
             eps = _SINGULARITY_DODGE * max(1.0, abs(s.location))
-            near = np.abs(ts - s.location) < eps
-            if near.any():
-                ts[near] = s.location + eps
+            ts[np.abs(ts - s.location) < eps] = s.location + eps
         vals = np.asarray(f(ts), dtype=float)
-        for s in sing:
+        for s in singularities:
             vals = vals - s.coefficient * (math.log(s.scale) - np.log(np.abs(ts - s.location)))
         return vals
 
     return ft
 
 
-def _stage_integral(ft, cantor: CantorPart, tol_mass: float) -> float:
-    """integral of ft against the staircase stage measure, by mass refinement.
-
-    Nodes follow the ternary tree; a node is accepted when splitting it moves
-    the midpoint-rule estimate by less than its share of the budget, and
-    depth-level leaves are finished with Simpson on their uniform segments.
-    """
-    h = cantor.height
-    if h <= 0.0:
-        return 0.0
-    total = 0.0
-    lefts = np.array([cantor.start])
-    width = cantor.stop - cantor.start
-    mass = h
-    parent = mass * ft(lefts + 0.5 * width)
-    for _ in range(cantor.depth):
-        kids = np.concatenate([lefts, lefts + 2.0 * width / 3.0])
-        wc = width / 3.0
-        mc = 0.5 * mass
-        fc = mc * ft(kids + 0.5 * wc)
-        n = lefts.size
-        pair = fc[:n] + fc[n:]
-        accept = np.abs(pair - parent) <= 0.5 * tol_mass * (mass / h)
-        total += float(np.sum(pair[accept]))
-        keep = ~accept
-        if not keep.any():
-            return total
-        lefts = np.concatenate([lefts[keep], lefts[keep] + 2.0 * width / 3.0])
-        parent = np.concatenate([fc[:n][keep], fc[n:][keep]])
-        width = wc
-        mass = mc
-    a = lefts
-    c = lefts + 0.5 * width
-    b = lefts + width
-    vals = ft(np.concatenate([a, c, b]))
-    n = lefts.size
-    total += float(np.sum(mass * (vals[:n] + 4.0 * vals[n:2 * n] + vals[2 * n:]) / 6.0))
-    return total
-
-
 def stieltjes_integral(f, m: Integrator, tol: float = 1e-8,
-                       singularities=()) -> float:
+                       singularities=(), cuts=()) -> float:
     """integral of f dm over [0, end] for a vectorized sampler f.
 
-    Known logarithmic blow-ups of f are passed as LogSingularity descriptors;
-    their kernel part is integrated in closed form against the mesh and only
-    the bounded remainder is quadratured.  When a positive-coefficient
-    singularity lands on a jump of m the integral is +inf and is returned as
-    such.  tol is an absolute budget for the quadrature parts.
+    The kernel part of each LogSingularity of f is integrated in closed form
+    against the mesh (+inf for a positive one on a jump of m).  Jumps add
+    height times the remainder; its continuous part is the sum of
+    rho_i (G(x_i+1) - G(x_i)) over the mesh, G from ``quad.antiderivative``
+    to the absolute ``tol``, cut at 0, end, the singular radii and ``cuts``.
     """
     sing = tuple(singularities)
     locs, heights, _ = m._jump_arrays
@@ -488,29 +444,16 @@ def stieltjes_integral(f, m: Integrator, tol: float = 1e-8,
         if _on_jump(m, s.location):
             return math.inf if s.coefficient > 0 else -math.inf
 
-    total = 0.0
-    for s in sing:
-        total += s.coefficient * _log_kernel_exact(m, s.location, s.scale)
-    ft = _desingularized(f, sing) if sing else (lambda ts: np.asarray(f(ts), dtype=float))
+    total = math.fsum(s.coefficient * _log_kernel_exact(m, s.location, s.scale) for s in sing)
+    ft = _desingularized(f, sing)
     if locs.size:
         total += float(heights @ ft(locs))
 
-    cont_mass = sum(p.mass for p in m.pieces)
-    if m.cantor is not None:
-        cont_mass += m.cantor.height
-    if cont_mass > 0.0:
-        cuts = tuple(s.location for s in sing)
-        for p in m.pieces:
-            if p.mass == 0.0:
-                continue
-            # cut at the interior cusps of the desingularized integrand
-            inner = [c for c in cuts if p.start < c < p.stop]
-            tol_mass = 0.9 * tol * p.mass / cont_mass
-            total += p.slope * adaptive_simpson(ft, [p.start, p.stop, *inner],
-                                                tol_mass / p.slope)
-        if m.cantor is not None and m.cantor.height > 0.0:
-            total += _stage_integral(ft, m.cantor,
-                                     0.9 * tol * m.cantor.height / cont_mass)
+    xs, F, rho = m._mesh
+    if F[-1] > 0.0:
+        pts = np.clip([0.0, m.end, *(s.location for s in sing), *cuts], 0.0, m.end)
+        G = antiderivative(ft, pts, tol, lambda x: np.interp(x, xs, F))
+        total += float(rho @ np.diff(G(xs)))
     return total
 
 

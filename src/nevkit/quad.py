@@ -8,13 +8,18 @@ times with scalars.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import ToleranceNotReached
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+CHEB_NODES = 9  # Chebyshev points of the second kind per panel, ends included: degree 8
+_CHEB_PTS = chebyshev.chebpts2(CHEB_NODES)
+_CHEB_COEF = np.linalg.inv(chebyshev.chebvander(_CHEB_PTS, CHEB_NODES - 1)).T
+RESOLUTION = 1e-11  # relative panel width below which t - x holds too few bits
 
 MAX_DEPTH = 50  # halvings of a cut interval after which panels are accepted as they are
-MAX_PANELS = 200_000  # panels one adaptive_simpson call may create
+MAX_PANELS = 200_000  # panels one adaptive_simpson or antiderivative call may create
 BISECT_STEPS = 70  # cap on halvings; float brackets collapse well before it
 BISECT_LEVELS = 6  # bisect_sign_changes cuts brackets into 2**6 pieces per call of f
 GOLDEN_STEPS = 40  # golden-section steps: the bracket shrinks by 0.618**40
@@ -100,6 +105,54 @@ def adaptive_simpson(f, cuts, tol: float, *, min_depth: int = 0) -> float:
             f"residual error estimate {forced_err[i]:.3e} above budget "
             f"{share[i]:.3e} on [{cuts[i]}, {cuts[i + 1]}]")
     return total
+
+
+def antiderivative(f, cuts, tol: float, weight):
+    """G with G' = f on [min(cuts), max(cuts)]: over the cells of a
+    piecewise-linear nondecreasing ``weight`` W, sum rho_i (G(x_i+1) - G(x_i))
+    is the integral of f dW within ``tol``.  Panels start at the ``cuts``;
+    one without mass is dropped, one whose interpolant on the CHEB_NODES
+    Chebyshev points (ends included) has 2(|c_8| + |c_7|) <= tol / (2 W_total)
+    is kept, and one narrower than RESOLUTION * max(1, |x|) is kept as it
+    is, with max|f| times its mass charged to the other half of ``tol``;
+    the rest are halved, one call of ``f`` per generation.  Past that half
+    or MAX_PANELS panels, ToleranceNotReached is raised.
+    """
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    lo, hi = cuts[:-1], cuts[1:]
+    limit = tol / (2.0 * (weight(cuts[-1]) - weight(cuts[0])))
+    done, forced, panels = [], 0.0, lo.size
+    while True:
+        mass = weight(hi) - weight(lo)
+        lo, hi, mass = lo[mass > 0.0], hi[mass > 0.0], mass[mass > 0.0]
+        if not lo.size:
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = np.asarray(f((mid[:, None] + half[:, None] * _CHEB_PTS).ravel()),
+                          dtype=float).reshape(lo.size, CHEB_NODES)
+        if not np.isfinite(vals).all():
+            raise ToleranceNotReached(f"non-finite integrand on [{cuts[0]}, {cuts[-1]}]")
+        c = vals @ _CHEB_COEF
+        ok = 2.0 * (np.abs(c[:, -1]) + np.abs(c[:, -2])) <= limit
+        floor = ~ok & (half < 0.5 * RESOLUTION * np.maximum(1.0, np.abs(mid)))
+        forced += float(np.abs(vals[floor]).max(axis=1, initial=0.0) @ mass[floor])
+        ok |= floor
+        done.append((lo[ok], half[ok], c[ok]))
+        lo, hi = np.append(lo[~ok], mid[~ok]), np.append(mid[~ok], hi[~ok])
+        panels += lo.size
+        if panels > MAX_PANELS or forced > 0.5 * tol:
+            raise ToleranceNotReached(f"{panels} panels, {forced:.3e} at float resolution")
+    lo, half, c = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(lo)
+    lo, half, c = lo[order], half[order], chebyshev.chebint(c[order], lbnd=-1.0, axis=1).T
+    start = np.append(0.0, np.cumsum(half * c.sum(axis=0)))
+
+    def G(x):
+        i = np.clip(np.searchsorted(lo, x, side="right") - 1, 0, lo.size - 1)
+        u = np.clip((x - lo[i]) / half[i] - 1.0, -1.0, 1.0)
+        return start[i] + half[i] * chebyshev.chebval(u, c[:, i], tensor=False)
+
+    return G
 
 
 def bisect_sign_changes(f, lo: np.ndarray, hi: np.ndarray,

@@ -151,6 +151,43 @@ def test_max_plus_sampler_clips(pole_model):
     assert max_plus_sampler(disk)(np.array([0.5]))[0] == 0.0
 
 
+# -- left side on known bad cases ----------------------------------------------
+
+# (seed, case id): reference lhs.  The staircase refinement and the per-piece
+# route missed these by up to 6.4e-3, and passing negative atoms beyond r
+# missed 1:79 by 2.2e-6; 3:151, 8:114 and 3:36 each have one sign change of
+# M on the support, where max(M, 0) kinks.  References are
+# perfbench.checks.independent_lhs, except 7:634, where M <= 0 on the support
+# of m, and 5:68, where that oracle reads 0.0014990361: this one is
+# scipy.integrate.quad on each depth-8 block, split at the singular radius and
+# at both sign changes of M.
+KNOWN_LHS = {
+    (15, 1): 0.9421815348482203,
+    (7, 634): 0.0,
+    (3, 148): 3.1632473028716843,
+    (6, 96): 0.03065985577836687,
+    (10, 191): 0.1950337353043029,
+    (1, 79): 2.772540811586982,
+    (3, 151): 0.8718249657452117,
+    (8, 114): 3.3002883145770077,
+    (3, 36): 1.7232190564482295,
+    (5, 68): 0.0014950550875,
+}
+
+
+@pytest.mark.parametrize("seed, case_id", sorted(KNOWN_LHS))
+def test_lhs_on_known_bad_cases(seed, case_id):
+    case = random_case(case_id, seed=seed)
+    assert growth_bound_lhs(case) == pytest.approx(KNOWN_LHS[seed, case_id], abs=case.tol)
+
+
+# M <= 0 on the support of m, apart from case 86; each came out negative while
+# the log kernels of atoms beyond r were subtracted from max(M, 0)
+@pytest.mark.parametrize("case_id", [20, 22, 32, 52, 65, 86, 91, 157, 185, 200])
+def test_lhs_is_nonnegative(case_id):
+    assert growth_bound_lhs(random_case(case_id, seed=1)) >= 0.0
+
+
 # -- pointwise and counting companions ---------------------------------------------
 
 def test_poisson_jensen_oracle(pole_model, window24):

@@ -617,6 +617,43 @@ def test_stieltjes_singularity_on_jump_diverges():
     assert stieltjes_integral(f, m, singularities=(neg,)) == -math.inf
 
 
+def test_stieltjes_staircase_work_does_not_grow_with_depth():
+    # the panels follow f alone: the depth only changes where G is read
+    points = []
+    for depth in (8, 12, 16):
+        m = Integrator(end=1.0, cantor=CantorPart(0.0, 1.0, 1.0, depth))
+        seen = []
+
+        def f(t):
+            seen.append(np.size(t))
+            return np.cos(3.0 * t)
+
+        stieltjes_integral(f, m)
+        points.append(sum(seen))
+        xs, _, rho = m._mesh
+        want = float(rho @ np.diff(xs**4 / 4.0 - xs**2))
+        assert stieltjes_integral(lambda t: t**3 - 2.0 * t, m) == pytest.approx(want, abs=1e-9)
+    assert points[0] == points[1] == points[2]
+
+
+def test_left_side_does_not_split_on_rounding_noise(monkeypatch):
+    # a negative atom at radius 1.670 whose peak wins M only within about
+    # 5e-11 of its radius, where t - 1.670 holds too few bits for any tail
+    # test: the singularity dodge and the float floor stop the splitting
+    from nevkit import bounds
+    radii = []
+    circle_max_many = bounds.circle_max_many
+
+    def counted(model, ts):
+        radii.append(np.size(ts))
+        return circle_max_many(model, ts)
+
+    monkeypatch.setattr(bounds, "circle_max_many", counted)
+    case = random_case(137, seed=3)
+    assert bounds.growth_bound_lhs(case) == pytest.approx(4.602366827989185, abs=case.tol)
+    assert sum(radii) < 5000
+
+
 # -- two-route log-kernel integral ---------------------------------------------
 
 def test_log_kernel_reference_value():
